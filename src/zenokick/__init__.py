@@ -3,9 +3,9 @@
 Two coupled qubits share one excitation; instantaneous probe kicks of
 adjustable strength partially record (or merely mirror) the transition and
 thereby slow, freeze or reverse it.  Three computation paths cover the same
-model and validate each other: an O(kicks) reduced engine for sweeps, a dense
-full-space simulation as ground truth, and closed-form transition rates with
-a finite-difference instrument.
+model and validate each other: a reduced engine whose sweeps cost O(log N)
+per cell, a dense full-space simulation as ground truth, and closed-form
+transition rates with a finite-difference instrument.
 """
 
 from . import analytics, cli, core, engine, oracle

@@ -4,7 +4,8 @@ All closed forms below hold on resonance (eps_a == eps_b) where the free
 amplitudes are cos(c t) and sin(c t) with c the coupling; calling them with
 detuned parameters raises ``OffResonanceError`` instead of silently returning
 wrong numbers.  The rate of interest is dP10/dt, the time derivative of the
-survival probability.
+survival probability; ``zeno_loss`` gives the leading-order loss 1 - P10
+after many equally spaced kicks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "rate_after_one_kick",
     "rate_super_zeno",
     "rate_after_n_kicks",
+    "zeno_loss",
     "survival_function",
     "finite_difference_rate",
 ]
@@ -86,6 +88,26 @@ def rate_after_n_kicks(
     for _ in range(n):
         rate *= cg
     return rate
+
+
+def zeno_loss(
+    n: int, g: float, total_time: float, params: SystemParams | None = None
+) -> float:
+    """Leading-order loss 1 - P10 after n equally spaced kicks in a run of total_time.
+
+    (cT)^2 (1 + cos g) / ((1 - cos g) n), the 1/n Zeno law: each period tau
+    loses (c tau)^2 (1 + cos g) / (1 - cos g), and n periods fill the run.
+    Corrections are smaller by a further factor of order 1/n.  The law needs
+    kicks that record which-way information, so g must not be a multiple of
+    2 pi.
+    """
+    c = _resonant_coupling(params or SystemParams())
+    if n < 1:
+        raise ValueError(f"kick count must be >= 1, got {n}")
+    half = math.sin(0.5 * g) ** 2  # (1 - cos g) / 2 without cancellation
+    if half == 0.0:
+        raise ValueError(f"the Zeno law needs 1 - cos g > 0, got g = {g}")
+    return (c * total_time) ** 2 * (1.0 - half) / (half * n)
 
 
 def survival_function(

@@ -338,9 +338,11 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     for i, g in enumerate(g_values):
         path = out if len(g_values) == 1 else out.with_name(f"{out.stem}_g{i}{out.suffix}")
         outputs.append((path, g))
-    texts = [trajectory_csv(_run_schedule(config, g)) for _, g in outputs]
-    for (path, g), text in zip(outputs, texts):
-        path.write_text(text)
+    # Every run finishes before the first write, so a refused run leaves no
+    # files; then one CSV text at a time is formatted and written.
+    trajectories = [_run_schedule(config, g) for _, g in outputs]
+    for (path, g), traj in zip(outputs, trajectories):
+        path.write_text(trajectory_csv(traj))
         print(f"wrote {path} (g={_fmt(g)})")
     if gnuplot:
         clauses = [

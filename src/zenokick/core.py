@@ -37,10 +37,12 @@ __all__ = [
     "Trajectory",
     "TrajectorySample",
     "single_excitation_block",
+    "block_minus_identity",
     "free_propagate",
     "apply_kick",
     "which_way_information",
     "schedule_steps",
+    "check_populations",
 ]
 
 
@@ -171,11 +173,7 @@ class Trajectory:
             raise ValueError("trajectory arrays must be non-empty and equally long")
         if np.any(np.diff(self.t) < 0):
             raise ValueError("sample times must be non-decreasing")
-        for arr in (self.p10, self.p01, self.pvac):
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-                raise ValueError("populations must lie in [0, 1]")
-        if np.max(np.abs(self.norm - 1.0)) > 1e-10:
-            raise ValueError("total weight drifted from 1 by more than 1e-10")
+        check_populations(self.p10, self.p01, self.pvac, self.norm)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -188,6 +186,19 @@ class Trajectory:
 
     def final(self) -> TrajectorySample:
         return self.sample(len(self) - 1)
+
+
+def check_populations(p10, p01, pvac, norm) -> None:
+    """Raise ValueError unless every population lies in [0, 1] and every norm is 1.
+
+    Populations get 1e-12 of slack, the total weight 1e-10.  ``Trajectory``
+    applies this guard to its samples and ``engine.sweep`` to its cells.
+    """
+    for arr in (p10, p01, pvac):
+        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+            raise ValueError("populations must lie in [0, 1]")
+    if np.max(np.abs(norm - 1.0)) > 1e-10:
+        raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 
 def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
@@ -211,6 +222,34 @@ def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
+
+
+def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
+    """``single_excitation_block(dt) - I`` for an array of steps, without cancellation.
+
+    The same closed form, with every cos(x) - 1 written as -2 sin^2(x/2), so
+    an entry keeps its full relative precision however small dt is; the
+    block itself rounds cos(c dt) to 1 once c dt drops below about 1e-8.
+    Returns shape (2, 2, *dt.shape): entry [i, j] is an array over dt.
+    """
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(np.isfinite(dt)) or np.any(dt < 0):
+        raise ValueError("dt must be finite and >= 0")
+    half_sum = 0.5 * (params.eps_a + params.eps_b)
+    half_diff = 0.5 * (params.eps_a - params.eps_b)
+    omega = math.hypot(half_diff, params.coupling)
+    angle = omega * dt
+    cos_m1 = -2.0 * np.sin(0.5 * angle) ** 2
+    f = np.sin(angle) / omega
+    phi = half_sum * dt
+    phase_m1 = -2.0 * np.sin(0.5 * phi) ** 2 - 1j * np.sin(phi)  # exp(-i phi) - 1
+    diag_a = cos_m1 - 1j * half_diff * f
+    diag_b = cos_m1 + 1j * half_diff * f
+    out = np.empty((2, 2, *dt.shape), dtype=np.complex128)
+    out[0, 0] = diag_a + phase_m1 * (1.0 + diag_a)
+    out[1, 1] = diag_b + phase_m1 * (1.0 + diag_b)
+    out[0, 1] = out[1, 0] = (1.0 + phase_m1) * (-1j * params.coupling * f)
+    return out
 
 
 def free_propagate(state: ReducedState, dt: float, params: SystemParams) -> ReducedState:

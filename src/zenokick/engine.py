@@ -1,9 +1,11 @@
-"""Reduced simulation path: O(kicks) per run, the workhorse for sweeps.
+"""Reduced simulation path: two amplitudes and one leak accumulator per run.
 
-A run folds the closed-form free propagator and the kick update over a
-``ReducedState``; leaked weight never re-enters the dynamics, so two complex
-amplitudes and one real accumulator are the entire state.  Sweep rows are
-independent pure computations and may be mapped in parallel.
+A sampled run folds the closed-form free propagator and the kick update over
+a ``ReducedState``; leaked weight never re-enters the dynamics, so two complex
+amplitudes and one real accumulator are the entire state.  Equally spaced
+runs skip the fold: one kick period is a fixed 2x2 map, and ``sweep`` raises
+the map of every (g, n) cell to its power n by binary doubling, all cells at
+once, in O(log n) numpy steps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .core import (
     SystemParams,
     Trajectory,
     apply_kick,
+    block_minus_identity,
+    check_populations,
     free_propagate,
     schedule_steps,
 )
@@ -36,6 +40,10 @@ __all__ = [
 
 KickOp = Callable[[ReducedState, float], ReducedState]
 
+#: largest kick count a sweep accepts: the doubling keeps counts in int64
+MAX_KICKS = 2**63 - 1
+_IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
+
 
 def run_schedule(
     schedule: KickSchedule,
@@ -46,19 +54,23 @@ def run_schedule(
 
     Samples land on the uniform grid plus both one-sided records at each kick
     instant (P10 is continuous there, P01 generally is not), so consumers must
-    not assume strictly increasing sample times.  ``kick_op`` is a
+    not assume strictly increasing sample times.  Every sample is propagated
+    from the state right after the latest kick, so rounding grows with the
+    number of kicks, not with the number of samples.  ``kick_op`` is a
     verification hook; leave it at the default outside of mutation tests.
     """
-    state = ReducedState()
+    anchor, t_anchor = ReducedState(), 0.0
     times: list[float] = []
     rows: list[tuple[float, float, float, float]] = []
     for step in schedule_steps(schedule):
-        if step[0] == "advance":
-            state = free_propagate(state, step[1], params)
-        elif step[0] == "kick":
-            state = kick_op(state, step[2])
-        else:
-            times.append(step[1])
+        if step[0] == "kick":
+            t_kick = schedule.kicks[step[1]][0]
+            anchor = kick_op(free_propagate(anchor, t_kick - t_anchor, params), step[2])
+            t_anchor = t_kick
+        elif step[0] == "sample":
+            t = step[1]
+            state = free_propagate(anchor, t - t_anchor, params) if t > t_anchor else anchor
+            times.append(t)
             rows.append((state.p10, state.p01, state.v, state.norm))
     data = np.array(rows)
     return Trajectory(np.array(times), data[:, 0], data[:, 1], data[:, 2], data[:, 3])
@@ -104,7 +116,9 @@ def equally_spaced_schedule(
 
     Exactly one of ``total_time`` (tau = total_time / n) or ``interval``
     (total time = n * interval) must be given; the last kick always lands
-    exactly on the final instant.
+    exactly on the final instant.  This is the kick-by-kick form of a
+    ``run_equally_spaced`` cell, for ``run_schedule``, ``final_state`` or
+    the dense oracle.
     """
     if (total_time is None) == (interval is None):
         raise ValueError("give exactly one of total_time or interval")
@@ -128,10 +142,17 @@ def run_equally_spaced(
     interval: float | None = None,
     params: SystemParams | None = None,
 ) -> tuple[float, float, float]:
-    """Final (p10, p01, pvac) after n equally spaced kicks of strength g."""
-    schedule = equally_spaced_schedule(n, g, total_time=total_time, interval=interval)
-    last = run_schedule(schedule, params or SystemParams()).final()
-    return (last.p10, last.p01, last.pvac)
+    """Final (p10, p01, pvac) after n equally spaced kicks of strength g.
+
+    Exactly one of ``total_time`` or ``interval`` must be given, as for
+    ``equally_spaced_schedule``; the answer is the one-cell ``sweep``.
+    """
+    if (total_time is None) == (interval is None):
+        raise ValueError("give exactly one of total_time or interval")
+    mode = "total" if total_time is not None else "interval"
+    spec = SweepSpec((g,), (n,), mode, total_time, interval, params or SystemParams())
+    (row,) = sweep(spec)
+    return (row.p10, row.p01, row.pvac)
 
 
 class SweepRow(NamedTuple):
@@ -165,33 +186,88 @@ class SweepSpec:
             raise ValueError("g_values and n_values must be non-empty")
         if any(not math.isfinite(g) for g in self.g_values):
             raise ValueError("kick strengths must be finite")
-        if any(n < 0 for n in self.n_values):
-            raise ValueError("kick counts must be >= 0")
+        if any(n < 0 or n > MAX_KICKS for n in self.n_values):
+            raise ValueError(f"kick counts must lie in [0, {MAX_KICKS}]")
         if self.mode not in ("total", "interval"):
             raise ValueError(f"mode must be 'total' or 'interval', got {self.mode!r}")
         duration = self.total_time if self.mode == "total" else self.interval
         if duration is None or not math.isfinite(duration) or duration <= 0:
             raise ValueError(f"mode {self.mode!r} needs a positive duration, got {duration}")
 
-    def timing(self) -> dict[str, float]:
-        if self.mode == "total":
-            return {"total_time": float(self.total_time)}
-        return {"interval": float(self.interval)}
 
-
-def sweep(spec: SweepSpec, map_fn: Callable = map) -> list[SweepRow]:
+def sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per (g, n) cell, g outermost, in deterministic grid order.
 
-    Cells are independent pure computations; pass an executor's ``map`` as
-    ``map_fn`` to evaluate them in parallel.  The output order follows the
-    input grid regardless of execution order.
+    A cell with n = 0 is free evolution over ``total_time`` in mode "total"
+    and the untouched initial state in mode "interval".  Every cell passes
+    the population and norm guard of a ``Trajectory``; a ValueError is raised
+    otherwise.
     """
-    timing = spec.timing()
-
-    def row(cell: tuple[float, int]) -> SweepRow:
-        g, n = cell
-        p10, p01, pvac = run_equally_spaced(n, g, params=spec.params, **timing)
-        return SweepRow(g, n, p10, p01, pvac)
-
     cells = [(g, n) for g in spec.g_values for n in spec.n_values]
-    return list(map_fn(row, cells))
+    g_cell = np.array([g for g, _ in cells])
+    n_cell = np.array([n for _, n in cells], dtype=np.int64)
+    if spec.mode == "total":
+        # n = 0 is one kick-free period of the whole run: a g = 0 kick is the identity.
+        kicked = n_cell > 0
+        g_cell = np.where(kicked, g_cell, 0.0)
+        n_cell = np.where(kicked, n_cell, 1)
+        tau = spec.total_time / n_cell
+    else:
+        tau = np.full(len(cells), float(spec.interval))
+    p10, p01, pvac = _equally_spaced_populations(g_cell, n_cell, tau, spec.params)
+    check_populations(p10, p01, pvac, p10 + p01 + pvac)
+    return [
+        SweepRow(g, n, *pops)
+        for (g, n), pops in zip(cells, zip(p10.tolist(), p01.tolist(), pvac.tolist()))
+    ]
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cell-by-cell 2x2 products of (2, 2, cells) stacks."""
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+
+
+def _sandwich(p_minus_identity: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P^dagger S P, cell by cell, for P = I + ``p_minus_identity``."""
+    p = p_minus_identity + _IDENTITY
+    return _mul(np.conj(p.transpose(1, 0, 2)), _mul(s, p))
+
+
+def _equally_spaced_populations(
+    g: np.ndarray, n: np.ndarray, tau: np.ndarray, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final (p10, p01, pvac) arrays of cells with n kicks of strength g spaced tau.
+
+    One period is M = diag(1, cos g) U(tau), and the state after the last
+    kick is M^n (1, 0).  Powers of M are carried as their difference D from
+    the identity and squared as 2D + D D: when tau is small M rounds to I,
+    while D keeps the rotation that drives the transition.
+
+    The leak is summed on its own, not taken as 1 - p10 - p01, so the norm
+    guard stays a real check.  Kick k + 1 leaks sin^2 g |(U M^k x0)_b|^2,
+    so pvac = sin^2 g (S_n)_00 with S_n = sum_{k<n} (M^k)^dagger Q M^k and
+    Q = U^dagger |b><b| U; it doubles as S_{p+r} = S_p + (M^p)^dagger S_r M^p.
+    """
+    u_minus_identity = block_minus_identity(tau, params)
+    power_d = u_minus_identity.copy()
+    power_d[1] *= np.cos(g)
+    power_d[1, 1] -= 2.0 * np.sin(0.5 * g) ** 2  # cos g - 1 without cancellation
+    row_b = u_minus_identity[1] + _IDENTITY[1]
+    power_s = np.conj(row_b)[:, None] * row_b[None, :]
+    acc_d = np.zeros_like(power_d)
+    acc_s = np.zeros_like(power_s)
+    bits = n.copy()
+    while True:
+        take = (bits & 1) == 1
+        if take.any():
+            acc_s = np.where(take, power_s + _sandwich(power_d, acc_s), acc_s)
+            acc_d = np.where(take, acc_d + power_d + _mul(power_d, acc_d), acc_d)
+        bits >>= 1
+        if not bits.any():
+            break
+        power_s = power_s + _sandwich(power_d, power_s)
+        power_d = 2.0 * power_d + _mul(power_d, power_d)
+    a = 1.0 + acc_d[0, 0]
+    b = acc_d[1, 0]
+    pvac = np.sin(g) ** 2 * acc_s[0, 0].real
+    return a.real**2 + a.imag**2, b.real**2 + b.imag**2, pvac

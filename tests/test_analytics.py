@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zenokick import analytics
+from zenokick import analytics, engine
 from zenokick.core import OffResonanceError, SystemParams
 
 RESONANT = SystemParams()
@@ -156,6 +156,34 @@ class TestSurvivalFunction:
         p10 = analytics.survival_function((), RESONANT)
         with pytest.raises(ValueError):
             p10(-0.1)
+
+
+class TestZenoLoss:
+    @pytest.mark.parametrize("coupling", [1.0, 2.0])
+    def test_matches_the_sweep_from_2_10_to_2_30_kicks(self, coupling):
+        params = SystemParams(coupling=coupling)
+        g_values = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+        n_values = tuple(2**k for k in range(10, 31))
+        spec = engine.SweepSpec(g_values, n_values, total_time=math.pi / 2, params=params)
+        for row in engine.sweep(spec):
+            law = analytics.zeno_loss(row.n, row.g, math.pi / 2, params)
+            assert abs((1.0 - row.p10) / law - 1.0) <= 64 / row.n + 1e-7, (row.g, row.n)
+
+    def test_reference_values(self):
+        # Complete measurements: (cT)^2 / n; the ratio (1 + cos g)/(1 - cos g) otherwise.
+        assert analytics.zeno_loss(4, math.pi / 2, 2.0) == pytest.approx(1.0, rel=1e-15)
+        assert analytics.zeno_loss(1, 2 * math.pi / 3, 1.0) == pytest.approx(1 / 3, rel=1e-15)
+        fast = SystemParams(coupling=2.0)
+        assert analytics.zeno_loss(8, math.pi / 2, 1.0, fast) == pytest.approx(0.5, rel=1e-15)
+        assert analytics.zeno_loss(1, math.pi, 1.0) < 1e-30
+
+    def test_rejects_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            analytics.zeno_loss(0, math.pi / 2, 1.0)
+        with pytest.raises(ValueError):
+            analytics.zeno_loss(4, 0.0, 1.0)
+        with pytest.raises(OffResonanceError):
+            analytics.zeno_loss(4, math.pi / 2, 1.0, DETUNED)
 
 
 class TestFiniteDifferenceRate:

@@ -14,6 +14,8 @@ from zenokick.core import (
     SystemParams,
     Trajectory,
     apply_kick,
+    block_minus_identity,
+    check_populations,
     free_propagate,
     schedule_steps,
     single_excitation_block,
@@ -99,6 +101,40 @@ class TestFreePropagate:
         split = free_propagate(free_propagate(state, t1, params), t2, params)
         assert abs(joint.a - split.a) < 1e-12
         assert abs(joint.b - split.b) < 1e-12
+
+
+class TestBlockMinusIdentity:
+    @pytest.mark.parametrize("params", [RESONANT, SystemParams(1.3, 0.4, -0.2)])
+    def test_matches_the_block_at_ordinary_steps(self, params):
+        dts = np.array([0.0, 0.01, 0.37, 1.0, 2.5])
+        out = block_minus_identity(dts, params)
+        assert out.shape == (2, 2, len(dts))
+        for k, dt in enumerate(dts):
+            expected = single_excitation_block(float(dt), params) - np.eye(2)
+            assert np.max(np.abs(out[:, :, k] - expected)) < 1e-15
+
+    def test_keeps_relative_precision_at_tiny_steps(self):
+        # Resonant: U - I = [[cos x - 1, -i sin x], [-i sin x, cos x - 1]], x = c dt.
+        x = 1e-12
+        (out,) = np.moveaxis(block_minus_identity(np.array([x]), RESONANT), -1, 0)
+        assert out[0, 0] == pytest.approx(-0.5 * x * x, rel=1e-15)
+        assert out[1, 1] == pytest.approx(-0.5 * x * x, rel=1e-15)
+        assert out[0, 1] == pytest.approx(-1j * x, rel=1e-15)
+        assert single_excitation_block(x, RESONANT)[0, 0] == 1.0  # the block has lost it
+
+    def test_detuning_phase_keeps_relative_precision(self):
+        dt = 1e-12
+        params = SystemParams(coupling=1.0, eps_a=1.0, eps_b=1.0)
+        (out,) = np.moveaxis(block_minus_identity(np.array([dt]), params), -1, 0)
+        # exp(-i dt) cos(dt) - 1 = -i dt - dt^2 + O(dt^3): both parts survive.
+        assert out[0, 0].real == pytest.approx(-dt * dt, rel=1e-10)
+        assert out[0, 0].imag == pytest.approx(-dt, rel=1e-15)
+
+    def test_rejects_bad_steps(self):
+        with pytest.raises(ValueError):
+            block_minus_identity(np.array([0.1, -0.1]), RESONANT)
+        with pytest.raises(ValueError):
+            block_minus_identity(np.array([math.nan]), RESONANT)
 
 
 class TestApplyKick:
@@ -230,6 +266,16 @@ class TestStateAndTrajectoryValidation:
         good = np.array([1.0, 1.0])
         with pytest.raises(ValueError):
             Trajectory(t, good, 0 * good, 0 * good, np.array([1.0, 1.0 + 1e-8]))
+
+    def test_population_guard_bounds(self):
+        one, zero = np.array([1.0]), np.array([0.0])
+        check_populations(one + 1e-13, zero, zero, one + 5e-11)
+        with pytest.raises(ValueError, match="populations"):
+            check_populations(one + 1e-11, zero, zero, one)
+        with pytest.raises(ValueError, match="populations"):
+            check_populations(one, zero, zero - 1e-11, one)
+        with pytest.raises(ValueError, match="drifted"):
+            check_populations(one, zero, zero, one + 2e-10)
 
     def test_trajectory_rejects_time_reversal(self):
         t = np.array([0.0, -0.5])

@@ -9,6 +9,7 @@ from zenokick import engine, oracle
 from zenokick.core import KickSchedule, ReducedState, SystemParams
 
 RESONANT = SystemParams()
+DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
 
 
 class TestRunSchedule:
@@ -52,6 +53,18 @@ class TestRunSchedule:
         # (cT)^2 (1 + cos g) / ((1 - cos g) N); the frozen value documents it.
         p10, _, _ = engine.run_equally_spaced(1023, math.pi / 4, total_time=math.pi / 2)
         assert p10 == pytest.approx(0.9860786617324959, abs=1e-12)
+
+
+    def test_long_mirror_echo_run_stays_inside_the_guards(self):
+        # 30 mirror kicks, one per equal slot of the run, and 80000 samples:
+        # stepping sample to sample drifted p10 past 1 + 1e-12 near an echo.
+        rng = np.random.default_rng([5, 2])
+        times = (np.arange(30) + rng.uniform(0.1, 0.9, 30)) / 30
+        schedule = KickSchedule(tuple((t, math.pi) for t in times), 1.0, 80000.0)
+        traj = engine.run_schedule(schedule, RESONANT)
+        assert len(traj) == 80061
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-13
+        assert np.max(traj.p10) <= 1.0 + 1e-13
 
 
 class TestFinalState:
@@ -130,15 +143,6 @@ class TestSweep:
         )
         assert engine.sweep(spec) == engine.sweep(spec)
 
-    def test_out_of_order_execution_assembles_in_order(self):
-        def scrambled_map(fn, cells):
-            cells = list(cells)
-            results = [fn(c) for c in reversed(cells)]
-            return reversed(results)
-
-        spec = engine.SweepSpec(g_values=(0.3, 0.9), n_values=(1, 4), total_time=1.0)
-        assert engine.sweep(spec, map_fn=scrambled_map) == engine.sweep(spec)
-
     def test_stronger_kicks_protect_better(self):
         spec = engine.SweepSpec(
             g_values=(math.pi / 4, math.pi / 2, 3 * math.pi / 4),
@@ -169,6 +173,32 @@ class TestSweep:
         rows = engine.sweep(spec)
         assert all(row.p10 == pytest.approx(1.0, abs=1e-12) for row in rows)
 
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("mode, duration", [("total", math.pi / 2), ("interval", 0.37)])
+    def test_matches_the_sequential_fold(self, params, mode, duration):
+        # The Zeno benchmark's grid plus N = 0, against a kick-by-kick final_state fold.
+        g_values = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
+        n_values = (0, *range(1, 33), 48, 64, 96, 128, 192, 256)
+        timing = {"total_time": duration} if mode == "total" else {"interval": duration}
+        spec = engine.SweepSpec(g_values, n_values, mode, params=params, **timing)
+        worst = 0.0
+        for row in engine.sweep(spec):
+            schedule = engine.equally_spaced_schedule(row.n, row.g, **timing)
+            state = engine.final_state(schedule.kicks, schedule.total_time, params)
+            worst = max(worst, abs(row.p10 - state.p10), abs(row.p01 - state.p01),
+                        abs(row.pvac - state.v))
+        assert worst <= 1e-13
+
+    def test_failed_norm_guard_raises(self, monkeypatch):
+        def leaky(g, n, tau, params):
+            ones = np.ones(len(n))
+            return 0.5 * ones, 0.5 * ones, 1e-9 * ones
+
+        monkeypatch.setattr(engine, "_equally_spaced_populations", leaky)
+        spec = engine.SweepSpec((1.0,), (3,), total_time=1.0)
+        with pytest.raises(ValueError, match="drifted"):
+            engine.sweep(spec)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             engine.SweepSpec(g_values=(), n_values=(1,), total_time=1.0)
@@ -178,6 +208,23 @@ class TestSweep:
             engine.SweepSpec(g_values=(1.0,), n_values=(-1,), total_time=1.0)
         with pytest.raises(ValueError):
             engine.SweepSpec(g_values=(1.0,), n_values=(1,), mode="sideways", total_time=1.0)
+        with pytest.raises(ValueError):
+            engine.SweepSpec(g_values=(1.0,), n_values=(2**63,), total_time=1.0)
+
+
+class TestLargeKickCounts:
+    @pytest.mark.parametrize("n", [4_000_000, 2**40])
+    @pytest.mark.parametrize("g", [math.pi / 4, math.pi / 2])
+    def test_norm_stays_inside_the_guard(self, n, g):
+        # A kick-by-kick leak sum drifted by -4.3e-10 at 4e6 kicks of g = pi/2.
+        p10, p01, pvac = engine.run_equally_spaced(n, g, total_time=math.pi / 2)
+        assert abs(p10 + p01 + pvac - 1.0) <= 1e-10
+        assert 0.0 < pvac < 1e-5
+
+    def test_mirror_parity_holds_at_large_even_counts(self):
+        p10, _, pvac = engine.run_equally_spaced(2**40, math.pi, total_time=math.pi / 2)
+        assert p10 == pytest.approx(1.0, abs=1e-12)
+        assert pvac < 1e-12
 
 
 def test_mutation_hook_changes_the_answer():
