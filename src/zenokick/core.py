@@ -300,8 +300,9 @@ def schedule_steps(schedule: KickSchedule) -> list[tuple]:
 
     Sampling covers the uniform grid plus a pre- and a post-kick record at
     every kick time; a grid point that coincides with a kick is represented by
-    that pre/post pair.  Every simulation path executes this same step list,
-    which makes their trajectories comparable sample by sample.
+    that pre/post pair.  The dense oracle executes this step list and
+    ``engine.run_schedule`` builds the same sample layout with numpy, which
+    makes their trajectories comparable sample by sample.
     """
     grid = schedule.sample_grid()
     n_grid = len(grid)

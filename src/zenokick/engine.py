@@ -1,10 +1,12 @@
 """Reduced simulation path: two amplitudes and one leak accumulator per run.
 
 A sampled run folds the closed-form free propagator and the kick update over
-a ``ReducedState``; leaked weight never re-enters the dynamics, so two complex
-amplitudes and one real accumulator are the entire state.  Equally spaced
-runs skip the fold: one kick period is a fixed 2x2 map, and ``sweep`` raises
-the map of every (g, n) cell to its power n by binary doubling, all cells at
+a ``ReducedState``, kick by kick, and keeps the state right after each kick
+as an anchor; leaked weight never re-enters the dynamics, so two complex
+amplitudes and one real accumulator are the entire state.  Every sample is
+then propagated from its anchor in one numpy call.  Equally spaced runs skip
+the fold: one kick period is a fixed 2x2 map, and ``sweep`` raises the map of
+every (g, n) cell to its power n by binary doubling, a chunk of cells at
 once, in O(log n) numpy steps.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .core import (
     block_minus_identity,
     check_populations,
     free_propagate,
-    schedule_steps,
 )
 
 __all__ = [
@@ -38,69 +39,96 @@ __all__ = [
     "sweep",
 ]
 
-KickOp = Callable[[ReducedState, float], ReducedState]
-
 #: largest kick count a sweep accepts: the doubling keeps counts in int64
 MAX_KICKS = 2**63 - 1
+#: cells whose doubling arrays a sweep holds at once, about 0.8 KB each
+SWEEP_CHUNK = 4096
 _IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
+#: sample kinds, in the order records at one instant are taken
+_PRE, _GRID, _POST = 0, 1, 2
 
 
-def run_schedule(
-    schedule: KickSchedule,
-    params: SystemParams,
-    kick_op: KickOp = apply_kick,
-) -> Trajectory:
-    """Run a kick schedule and sample populations along the way.
+def _fold(
+    kicks: Iterable[tuple[float, float]], total_time: float, params: SystemParams
+) -> Iterator[tuple[float, ReducedState]]:
+    """Yield (t, state right after the kick) for each kick, in order.
 
-    Samples land on the uniform grid plus both one-sided records at each kick
-    instant (P10 is continuous there, P01 generally is not), so consumers must
-    not assume strictly increasing sample times.  Every sample is propagated
-    from the state right after the latest kick, so rounding grows with the
-    number of kicks, not with the number of samples.  ``kick_op`` is a
-    verification hook; leave it at the default outside of mutation tests.
+    Takes kick times as ``final_state`` does: non-decreasing, inside
+    [0, total_time]; a ValueError is raised otherwise.
     """
-    anchor, t_anchor = ReducedState(), 0.0
-    times: list[float] = []
-    rows: list[tuple[float, float, float, float]] = []
-    for step in schedule_steps(schedule):
-        if step[0] == "kick":
-            t_kick = schedule.kicks[step[1]][0]
-            anchor = kick_op(free_propagate(anchor, t_kick - t_anchor, params), step[2])
-            t_anchor = t_kick
-        elif step[0] == "sample":
-            t = step[1]
-            state = free_propagate(anchor, t - t_anchor, params) if t > t_anchor else anchor
-            times.append(t)
-            rows.append((state.p10, state.p01, state.v, state.norm))
-    data = np.array(rows)
-    return Trajectory(np.array(times), data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-
-
-def final_state(
-    kicks: Iterable[tuple[float, float]],
-    total_time: float,
-    params: SystemParams,
-    kick_op: KickOp = apply_kick,
-) -> ReducedState:
-    """Fold a kick sequence without sampling and return the state at total_time.
-
-    Unlike ``KickSchedule`` this accepts non-decreasing (not necessarily
-    strictly increasing) kick times: repeated times mean back-to-back kicks
-    with no free evolution in between.
-    """
-    if not math.isfinite(total_time) or total_time < 0:
-        raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
-    state = ReducedState()
-    now = 0.0
+    state, now = ReducedState(), 0.0
     for t, g in kicks:
         if t < now or t > total_time:
             raise ValueError(f"kick time {t} outside [{now}, {total_time}]")
         if t > now:
             state = free_propagate(state, t - now, params)
             now = t
-        state = kick_op(state, g)
+        state = apply_kick(state, g)
+        yield now, state
+
+
+def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
+    """Run a kick schedule and sample populations along the way.
+
+    Samples land on the uniform grid plus both one-sided records at each kick
+    instant (P10 is continuous there, P01 generally is not); a grid point on
+    a kick time is represented by that pair, so consumers must not assume
+    strictly increasing sample times.  The layout is the one
+    ``core.schedule_steps`` lists.
+
+    The kicks are folded one by one into anchors, the initial state and the
+    state right after each kick.  Every sample is then propagated from the
+    latest anchor at or before it in one vectorized call, so rounding grows
+    with the number of kicks, not with the number of samples.
+    """
+    anchors = [(0.0, ReducedState())]
+    anchors += _fold(schedule.kicks, schedule.total_time, params)
+    t_anchor = np.array([t for t, _ in anchors])
+    a_anchor = np.array([s.a for _, s in anchors], dtype=np.complex128)
+    b_anchor = np.array([s.b for _, s in anchors], dtype=np.complex128)
+    v_anchor = np.array([s.v for _, s in anchors])
+
+    kick_t = t_anchor[1:]
+    grid = schedule.sample_grid()
+    grid = grid[~np.isin(grid, kick_t)]
+    t = np.concatenate((grid, kick_t, kick_t))
+    kind = np.repeat([_GRID, _PRE, _POST], [len(grid), len(kick_t), len(kick_t)])
+    order = np.lexsort((kind, t))
+    t, kind = t[order], kind[order]
+    # A pre-kick record still belongs to the anchor before its kick.
+    idx = np.searchsorted(kick_t, t, side="right") - (kind == _PRE)
+
+    u = block_minus_identity(t - t_anchor[idx], params) + _IDENTITY
+    a0, b0 = a_anchor[idx], b_anchor[idx]
+    a = u[0, 0] * a0 + u[0, 1] * b0
+    b = u[1, 0] * a0 + u[1, 1] * b0
+    p10 = a.real**2 + a.imag**2
+    p01 = b.real**2 + b.imag**2
+    pvac = v_anchor[idx]
+    return Trajectory(t, p10, p01, pvac, p10 + p01 + pvac)
+
+
+def final_state(
+    kicks: Iterable[tuple[float, float]],
+    total_time: float,
+    params: SystemParams,
+) -> ReducedState:
+    """Fold a kick sequence without sampling and return the state at total_time.
+
+    Unlike ``KickSchedule`` this accepts non-decreasing (not necessarily
+    strictly increasing) kick times: repeated times mean back-to-back kicks
+    with no free evolution in between.  The returned state passes the
+    population and norm guard of a ``Trajectory``; a ValueError is raised
+    otherwise.
+    """
+    if not math.isfinite(total_time) or total_time < 0:
+        raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
+    now, state = 0.0, ReducedState()
+    for now, state in _fold(kicks, total_time, params):
+        pass
     if total_time > now:
         state = free_propagate(state, total_time - now, params)
+    check_populations(state.p10, state.p01, state.v, state.norm)
     return state
 
 
@@ -201,7 +229,8 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     A cell with n = 0 is free evolution over ``total_time`` in mode "total"
     and the untouched initial state in mode "interval".  Every cell passes
     the population and norm guard of a ``Trajectory``; a ValueError is raised
-    otherwise.
+    otherwise.  Cells are raised ``SWEEP_CHUNK`` at a time, which bounds the
+    memory of the doubling whatever the grid size.
     """
     cells = [(g, n) for g in spec.g_values for n in spec.n_values]
     g_cell = np.array([g for g, _ in cells])
@@ -214,7 +243,13 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         tau = spec.total_time / n_cell
     else:
         tau = np.full(len(cells), float(spec.interval))
-    p10, p01, pvac = _equally_spaced_populations(g_cell, n_cell, tau, spec.params)
+    chunks = []
+    for lo in range(0, len(cells), SWEEP_CHUNK):
+        part = slice(lo, lo + SWEEP_CHUNK)
+        chunks.append(
+            _equally_spaced_populations(g_cell[part], n_cell[part], tau[part], spec.params)
+        )
+    p10, p01, pvac = (np.concatenate(column) for column in zip(*chunks))
     check_populations(p10, p01, pvac, p10 + p01 + pvac)
     return [
         SweepRow(g, n, *pops)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zenokick import cli, engine
-from zenokick.core import ReducedState
+from zenokick.core import ReducedState, Trajectory
 
 
 class TestParseNumber:
@@ -193,6 +193,21 @@ class TestCmdSweep:
         assert cli.main([str(path)]) == 2
 
 
+class TestCsvFormat:
+    EDGES = (-1e-13, 0.0, 5e-324, 1 - 2**-53, 1.0)
+
+    def test_trajectory_floats_match_fstring_formatting(self):
+        column = np.array(self.EDGES)
+        traj = Trajectory(column, column, column, column, np.ones(len(column)))
+        rows = [",".join([f"{x:.17g}"] * 4 + [f"{1.0:.17g}"]) for x in self.EDGES]
+        assert cli.trajectory_csv(traj) == "\n".join(["t,p10,p01,pvac,norm", *rows]) + "\n"
+
+    def test_sweep_floats_match_fstring_formatting(self):
+        table = [engine.SweepRow(x, 3, x, x, x) for x in self.EDGES]
+        rows = [f"{x:.17g},3,{x:.17g},{x:.17g},{x:.17g}" for x in self.EDGES]
+        assert cli.sweep_csv(table) == "\n".join(["g,N,p10,p01,pvac", *rows]) + "\n"
+
+
 class TestOracleCheck:
     def config(self, tmp_path, **overrides):
         fields = dict(trials=25, seed=1, n="0..5", T=1.0, resolution=60)
@@ -221,14 +236,15 @@ class TestOracleCheck:
         assert "trials=0" in captured.out
         assert "warning" in captured.err
 
-    def test_corrupted_kick_fails(self, tmp_path, capsys):
+    def test_corrupted_kick_fails(self, tmp_path, capsys, monkeypatch):
         def kick_the_wrong_amplitude(state, g):
             cg, sg = math.cos(g), math.sin(g)
             leak = (state.a.real**2 + state.a.imag**2) * sg * sg
             return ReducedState(state.a * cg, state.b, state.v + leak)
 
         config, _ = self.config(tmp_path)
-        assert cli.cmd_oracle_check(config, kick_op=kick_the_wrong_amplitude) == 1
+        monkeypatch.setattr(engine, "apply_kick", kick_the_wrong_amplitude)
+        assert cli.cmd_oracle_check(config) == 1
         assert "status=FAIL" in capsys.readouterr().out
 
     def test_too_many_kicks_is_a_capacity_error(self, tmp_path):

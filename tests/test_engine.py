@@ -6,10 +6,34 @@ import numpy as np
 import pytest
 
 from zenokick import engine, oracle
-from zenokick.core import KickSchedule, ReducedState, SystemParams
+from zenokick.core import KickSchedule, ReducedState, SystemParams, schedule_steps
 
 RESONANT = SystemParams()
 DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
+
+
+def sampler_schedule(case: str, seed: int) -> KickSchedule:
+    """A random schedule over T = 1 whose kicks sit where ``case`` says."""
+    rng = np.random.default_rng(seed)
+    resolution = 40.0
+    grid = KickSchedule((), 1.0, resolution).sample_grid()
+    if case == "random":
+        times = np.sort(rng.uniform(0.0, 1.0, 6))
+    elif case == "on-grid":
+        times = np.array([0.0, grid[7], grid[8], rng.uniform(grid[20], grid[21]), 1.0])
+    elif case == "no-grid":
+        resolution = 0.0
+        times = np.array([0.0, *np.sort(rng.uniform(0.0, 1.0, 3)), 1.0])
+    else:
+        times = np.array([])
+    strengths = rng.uniform(0.0, 2.0 * math.pi, len(times))
+    strengths[1::3] = math.pi  # mirror kicks among them
+    return KickSchedule(tuple(zip(times, strengths)), 1.0, resolution)
+
+
+SAMPLER_CASES = [
+    (case, seed) for case in ("random", "on-grid", "no-grid", "no-kicks") for seed in (1, 2)
+]
 
 
 class TestRunSchedule:
@@ -66,6 +90,20 @@ class TestRunSchedule:
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-13
         assert np.max(traj.p10) <= 1.0 + 1e-13
 
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("case, seed", SAMPLER_CASES)
+    def test_matches_the_step_list_and_the_oracle(self, case, seed, params):
+        schedule = sampler_schedule(case, seed)
+        traj = engine.run_schedule(schedule, params)
+        steps = [step[1] for step in schedule_steps(schedule) if step[0] == "sample"]
+        np.testing.assert_array_equal(traj.t, steps)
+        dense = oracle.run_schedule(schedule, params)
+        for attr in ("p10", "p01", "pvac"):
+            assert np.max(np.abs(getattr(traj, attr) - getattr(dense, attr))) <= 1e-12
+        for t_kick, _ in schedule.kicks:
+            pre, post = np.flatnonzero(traj.t == t_kick)
+            assert abs(traj.p10[post] - traj.p10[pre]) <= 1e-14
+
 
 class TestFinalState:
     def test_matches_run_schedule_endpoint(self):
@@ -87,6 +125,14 @@ class TestFinalState:
             engine.final_state(((0.5, 1.0), (0.4, 1.0)), 1.0, RESONANT)
         with pytest.raises(ValueError):
             engine.final_state(((0.5, 1.0),), 0.4, RESONANT)
+
+    def test_leaky_kick_fails_the_norm_guard(self, monkeypatch):
+        def leaky_kick(state, g):
+            return ReducedState(state.a, state.b * math.cos(g), state.v + 1e-9)
+
+        monkeypatch.setattr(engine, "apply_kick", leaky_kick)
+        with pytest.raises(ValueError, match="drifted"):
+            engine.final_state(((0.5, 1.0),), 1.0, RESONANT)
 
 
 class TestEquallySpaced:
@@ -199,6 +245,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="drifted"):
             engine.sweep(spec)
 
+    def test_chunks_give_the_rows_of_one_pass(self, monkeypatch):
+        spec = engine.SweepSpec(
+            g_values=(0.3, math.pi / 4, math.pi),
+            n_values=(0, 1, 2, 5, 17, 64, 1000, 2**40),
+            total_time=math.pi / 2,
+        )
+        whole = engine.sweep(spec)
+        monkeypatch.setattr(engine, "SWEEP_CHUNK", 7)
+        assert engine.sweep(spec) == whole
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             engine.SweepSpec(g_values=(), n_values=(1,), total_time=1.0)
@@ -227,7 +283,7 @@ class TestLargeKickCounts:
         assert pvac < 1e-12
 
 
-def test_mutation_hook_changes_the_answer():
+def test_mutation_hook_changes_the_answer(monkeypatch):
     def broken_kick(state, g):
         cg, sg = math.cos(g), math.sin(g)
         leak = (state.a.real**2 + state.a.imag**2) * sg * sg
@@ -235,5 +291,6 @@ def test_mutation_hook_changes_the_answer():
 
     schedule = KickSchedule(((0.5, 1.2),), 1.0, sample_resolution=10.0)
     good = engine.run_schedule(schedule, RESONANT)
-    bad = engine.run_schedule(schedule, RESONANT, kick_op=broken_kick)
+    monkeypatch.setattr(engine, "apply_kick", broken_kick)
+    bad = engine.run_schedule(schedule, RESONANT)
     assert np.max(np.abs(good.p10 - bad.p10)) > 1e-3
