@@ -24,7 +24,6 @@ from .core import (
     ReducedState,
     SystemParams,
     Trajectory,
-    TrajectorySample,
     apply_kick,
     free_propagate,
     which_way_information,
@@ -45,7 +44,6 @@ __all__ = [
     "KickSchedule",
     "ReducedState",
     "Trajectory",
-    "TrajectorySample",
     "apply_kick",
     "free_propagate",
     "which_way_information",

@@ -43,6 +43,7 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "PRESETS",
+    "COMMANDS",
     "parse_config",
     "oracle_engine_deviation",
     "cmd_run",
@@ -52,9 +53,9 @@ __all__ = [
     "main",
 ]
 
-SCENARIOS = ("run", "sweep", "oracle-check", "rates")
 ORACLE_CHECK_TOLERANCE = 1e-10
 ORACLE_CHECK_MAX_KICKS = 10
+MAX_LIST_ENTRIES = 10**6
 
 
 class ConfigError(Exception):
@@ -89,23 +90,6 @@ class ScenarioConfig:
     def params(self) -> SystemParams:
         return SystemParams(coupling=self.coupling, eps_a=self.eps_a, eps_b=self.eps_b)
 
-
-_KEY_TO_ATTR = {
-    "scenario": "scenario",
-    "G": "coupling",
-    "eps_a": "eps_a",
-    "eps_b": "eps_b",
-    "g_list": "g_list",
-    "N_list": "n_list",
-    "T": "total_time",
-    "tau": "interval",
-    "mode": "mode",
-    "t_kicks": "kick_times",
-    "resolution": "resolution",
-    "trials": "trials",
-    "seed": "seed",
-    "out": "out",
-}
 
 _PI_FORM = re.compile(
     r"^(?P<coef>[+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(?P<div>\d+(?:\.\d*)?|\.\d+))?$",
@@ -154,7 +138,7 @@ def parse_int(token: str) -> int:
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; ``a..b`` expands to the inclusive range."""
+    """Comma-separated integers, ``MAX_LIST_ENTRIES`` at most; ``a..b`` is an inclusive range."""
     text = text.strip()
     if not text:
         return ()
@@ -166,16 +150,65 @@ def parse_int_list(text: str) -> tuple[int, ...]:
             lo, hi = parse_int(lo_text), parse_int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {tok!r}")
-            values.extend(range(lo, hi + 1))
         else:
-            values.append(parse_int(tok))
+            lo = hi = parse_int(tok)
+        # Checked before expanding, so an oversized range is refused, not allocated.
+        if len(values) + hi - lo + 1 > MAX_LIST_ENTRIES:
+            raise ValueError(f"integer list has more than {MAX_LIST_ENTRIES} entries")
+        values.extend(range(lo, hi + 1))
     return tuple(values)
+
+
+def _scenario(value: str) -> str:
+    if value not in COMMANDS:
+        raise ValueError(f"scenario must be one of {', '.join(COMMANDS)}; got {value!r}")
+    return value
+
+
+def _mode(value: str) -> str:
+    if value not in ("total", "interval"):
+        raise ValueError(f"mode must be 'total' or 'interval', got {value!r}")
+    return value
+
+
+def _out(value: str) -> str:
+    if not value:
+        raise ValueError("out must not be empty")
+    return value
+
+
+def _count(key: str):
+    def parse(value: str) -> int:
+        n = parse_int(value)
+        if n < 0:
+            raise ValueError(f"{key} must be >= 0, got {n}")
+        return n
+
+    return parse
+
+
+# Scenario-file key -> (ScenarioConfig attribute, value parser).
+_KEYS = {
+    "scenario": ("scenario", _scenario),
+    "G": ("coupling", parse_number),
+    "eps_a": ("eps_a", parse_number),
+    "eps_b": ("eps_b", parse_number),
+    "g_list": ("g_list", parse_number_list),
+    "N_list": ("n_list", parse_int_list),
+    "T": ("total_time", parse_number),
+    "tau": ("interval", parse_number),
+    "mode": ("mode", _mode),
+    "t_kicks": ("kick_times", parse_number_list),
+    "resolution": ("resolution", _count("resolution")),
+    "trials": ("trials", _count("trials")),
+    "seed": ("seed", _count("seed")),
+    "out": ("out", _out),
+}
 
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse a flat key = value scenario file; reject anything unknown or malformed."""
     fields: dict[str, object] = {}
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -184,46 +217,18 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"expected 'key = value', got {line!r}", source, lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEY_TO_ATTR:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", source, lineno)
-        if key in seen:
+        attr, parse = _KEYS[key]
+        if attr in fields:
             raise ConfigError(f"duplicate key {key!r}", source, lineno)
-        seen.add(key)
         try:
-            fields[_KEY_TO_ATTR[key]] = _convert(key, value)
+            fields[attr] = parse(value.strip())
         except ValueError as exc:
             raise ConfigError(str(exc), source, lineno) from None
     if "scenario" not in fields:
         raise ConfigError("missing required key 'scenario'", source)
     return ScenarioConfig(**fields)  # type: ignore[arg-type]
-
-
-def _convert(key: str, value: str) -> object:
-    if key == "scenario":
-        if value not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {', '.join(SCENARIOS)}; got {value!r}")
-        return value
-    if key == "mode":
-        if value not in ("total", "interval"):
-            raise ValueError(f"mode must be 'total' or 'interval', got {value!r}")
-        return value
-    if key == "out":
-        if not value:
-            raise ValueError("out must not be empty")
-        return value
-    if key in ("G", "eps_a", "eps_b", "T", "tau"):
-        return parse_number(value)
-    if key in ("g_list", "t_kicks"):
-        return parse_number_list(value)
-    if key == "N_list":
-        return parse_int_list(value)
-    if key in ("resolution", "trials", "seed"):
-        n = parse_int(value)
-        if n < 0:
-            raise ValueError(f"{key} must be >= 0, got {n}")
-        return n
-    raise ValueError(f"unknown key {key!r}")
 
 
 PRESETS: dict[str, str] = {
@@ -311,14 +316,21 @@ def sweep_csv(rows: Sequence[engine.SweepRow]) -> str:
     return _csv("g,N,p10,p01,pvac", "%.17g,%d,%.17g,%.17g,%.17g", rows)
 
 
-def _write_output(path: Path, text: str) -> None:
+def _write(path: Path, text: str, note: str = "") -> None:
     # Compute-then-write keeps rejected runs from leaving partial files behind.
     path.write_text(text)
-    print(f"wrote {path}")
+    print(f"wrote {path}{note}")
 
 
-def _resolve_out(config: ScenarioConfig, default: str) -> Path:
-    return Path(config.out if config.out else default)
+def _gnuplot(title: str, xlabel: str, ylabel: str, clauses: list[str]) -> str:
+    return (
+        "set datafile separator ','\n"
+        f"set title '{title}'\n"
+        f"set xlabel '{xlabel}'\n"
+        f"set ylabel '{ylabel}'\n"
+        "set key outside\n"
+        "plot \\\n  " + ", \\\n  ".join(clauses) + "\n"
+    )
 
 
 def _run_schedule(config: ScenarioConfig, g: float) -> Trajectory:
@@ -335,7 +347,7 @@ def _run_schedule(config: ScenarioConfig, g: float) -> Trajectory:
 def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Trajectory CSV per kick strength; multiple strengths fan out by suffix."""
     g_values = config.g_list if config.g_list else (0.0,)
-    out = _resolve_out(config, "run.csv")
+    out = Path(config.out or "run.csv")
     outputs: list[tuple[Path, float]] = []
     for i, g in enumerate(g_values):
         path = out if len(g_values) == 1 else out.with_name(f"{out.stem}_g{i}{out.suffix}")
@@ -344,14 +356,13 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     # files; then one CSV text at a time is formatted and written.
     trajectories = [_run_schedule(config, g) for _, g in outputs]
     for (path, g), traj in zip(outputs, trajectories):
-        path.write_text(trajectory_csv(traj))
-        print(f"wrote {path} (g={_fmt(g)})")
+        _write(path, trajectory_csv(traj), f" (g={_fmt(g)})")
     if gnuplot:
         clauses = [
             f"'{path.name}' every ::1 using 1:2 with lines title 'g={_fmt(g)}'"
             for path, g in outputs
         ]
-        _write_gnuplot(out.with_suffix(".gp"), "survival probability", "t", "p10", clauses)
+        _write(out.with_suffix(".gp"), _gnuplot("survival probability", "t", "p10", clauses))
     return 0
 
 
@@ -368,15 +379,15 @@ def cmd_sweep(config: ScenarioConfig, gnuplot: bool = False) -> int:
         params=config.params(),
     )
     rows = engine.sweep(spec)
-    out = _resolve_out(config, "sweep.csv")
-    _write_output(out, sweep_csv(rows))
+    out = Path(config.out or "sweep.csv")
+    _write(out, sweep_csv(rows))
     if gnuplot:
         clauses = [
             f"'{out.name}' every ::1 using 2:(stringcolumn(1) eq '{_fmt(g)}' ? $3 : 1/0) "
             f"with linespoints title 'g={_fmt(g)}'"
             for g in config.g_list
         ]
-        _write_gnuplot(out.with_suffix(".gp"), "survival vs kick count", "N", "p10", clauses)
+        _write(out.with_suffix(".gp"), _gnuplot("survival vs kick count", "N", "p10", clauses))
     return 0
 
 
@@ -387,7 +398,7 @@ def oracle_engine_deviation(
     resolution: int,
     seed: int,
     params: SystemParams,
-) -> tuple[float, int]:
+) -> float:
     """Max |population difference| between the reduced and dense paths.
 
     Each trial draws a kick count from ``n_choices``, sorts uniform kick times
@@ -418,22 +429,22 @@ def oracle_engine_deviation(
         for attr in ("p10", "p01", "pvac"):
             dev = float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))
             worst = max(worst, dev)
-    return worst, trials
+    return worst
 
 
-def cmd_oracle_check(config: ScenarioConfig) -> int:
-    """Randomized reduced-vs-dense comparison; prints one summary report line."""
+def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
+    """Randomized reduced-vs-dense comparison; prints one report line and plots nothing."""
     if config.total_time is None:
         raise ValueError("scenario 'oracle-check' needs T")
     n_choices = config.n_list if config.n_list else tuple(range(9))
     if config.trials == 0:
         print("warning: trials=0, nothing was compared", file=sys.stderr)
-    max_dev, trials = oracle_engine_deviation(
+    max_dev = oracle_engine_deviation(
         config.trials, n_choices, config.total_time, config.resolution,
         config.seed, config.params(),
     )
     status = "PASS" if max_dev <= ORACLE_CHECK_TOLERANCE else "FAIL"
-    report = f"status={status} max_dev={max_dev:.3e} trials={trials}"
+    report = f"status={status} max_dev={max_dev:.3e} trials={config.trials}"
     print(report)
     if config.out:
         Path(config.out).write_text(report + "\n")
@@ -487,14 +498,14 @@ def rate_comparison_rows(params: SystemParams) -> list[tuple[str, float, float, 
     return rows
 
 
-def cmd_rates(config: ScenarioConfig) -> int:
-    """Compare every closed-form rate against its finite-difference estimate."""
+def cmd_rates(config: ScenarioConfig, gnuplot: bool = False) -> int:
+    """Compare every closed-form rate against its finite-difference estimate; plots nothing."""
     params = config.params()
     if not params.resonant:
         raise OffResonanceError("scenario 'rates' requires eps_a == eps_b")
     rows = rate_comparison_rows(params)
     text = _csv("check,t_or_N,analytic,numeric,abs_error", "%s,%.17g,%.17g,%.17g,%.17g", rows)
-    _write_output(_resolve_out(config, "rates.csv"), text)
+    _write(Path(config.out or "rates.csv"), text)
     failed = False
     for check, tolerance in RATE_TOLERANCES.items():
         worst = max(err for name, _, _, _, err in rows if name == check)
@@ -504,17 +515,13 @@ def cmd_rates(config: ScenarioConfig) -> int:
     return 1 if failed else 0
 
 
-def _write_gnuplot(path: Path, title: str, xlabel: str, ylabel: str, clauses: list[str]) -> None:
-    text = (
-        "set datafile separator ','\n"
-        f"set title '{title}'\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
-        "set key outside\n"
-        "plot \\\n  " + ", \\\n  ".join(clauses) + "\n"
-    )
-    path.write_text(text)
-    print(f"wrote {path}")
+# Scenario name -> command(config, gnuplot flag) -> exit code.
+COMMANDS = {
+    "run": cmd_run,
+    "sweep": cmd_sweep,
+    "oracle-check": cmd_oracle_check,
+    "rates": cmd_rates,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -569,13 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, out=args.out)
 
     try:
-        if config.scenario == "run":
-            return cmd_run(config, gnuplot=args.gnuplot)
-        if config.scenario == "sweep":
-            return cmd_sweep(config, gnuplot=args.gnuplot)
-        if config.scenario == "oracle-check":
-            return cmd_oracle_check(config)
-        return cmd_rates(config)
+        return COMMANDS[config.scenario](config, args.gnuplot)
     except (ValueError, CapacityError, OffResonanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "KickSchedule",
     "ReducedState",
     "Trajectory",
-    "TrajectorySample",
     "single_excitation_block",
     "block_minus_identity",
     "free_propagate",
@@ -56,23 +54,18 @@ class OffResonanceError(Exception):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants of the coupled pair and its probes.
+    """Physical constants of the coupled pair.
 
     coupling: excitation-exchange rate between the qubits, > 0.
     eps_a, eps_b: excited-state energies of qubit a and qubit b.
-    probe_phases: (excited, ground) free energies given to every probe level.
-        They dress orthogonal frozen branches with global phases and cannot
-        move any population; kept so the dense path evolves the full model.
     """
 
     coupling: float = 1.0
     eps_a: float = 0.0
     eps_b: float = 0.0
-    probe_phases: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        values = (self.coupling, self.eps_a, self.eps_b, *self.probe_phases)
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in (self.coupling, self.eps_a, self.eps_b)):
             raise ValueError("SystemParams fields must be finite")
         if self.coupling <= 0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
@@ -148,14 +141,6 @@ class ReducedState:
         return self.p10 + self.p01 + self.v
 
 
-class TrajectorySample(NamedTuple):
-    t: float
-    p10: float
-    p01: float
-    pvac: float
-    norm: float
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled populations; kick instants appear twice (pre/post record)."""
@@ -178,26 +163,18 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            float(self.t[i]), float(self.p10[i]), float(self.p01[i]),
-            float(self.pvac[i]), float(self.norm[i]),
-        )
-
-    def final(self) -> TrajectorySample:
-        return self.sample(len(self) - 1)
-
 
 def check_populations(p10, p01, pvac, norm) -> None:
     """Raise ValueError unless every population lies in [0, 1] and every norm is 1.
 
     Populations get 1e-12 of slack, the total weight 1e-10.  ``Trajectory``
-    applies this guard to its samples and ``engine.sweep`` to its cells.
+    applies this guard to its samples and ``engine.sweep`` to its cells.  The
+    bounds are written as negated ``<=`` tests so that NaN fails them too.
     """
-    for arr in (p10, p01, pvac):
-        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-            raise ValueError("populations must lie in [0, 1]")
-    if np.max(np.abs(norm - 1.0)) > 1e-10:
+    pops = np.array((p10, p01, pvac))
+    if not (pops.min() >= -1e-12 and pops.max() <= 1 + 1e-12):
+        raise ValueError("populations must lie in [0, 1]")
+    if not np.max(np.abs(norm - 1.0)) <= 1e-10:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 
@@ -255,9 +232,8 @@ def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
 def free_propagate(state: ReducedState, dt: float, params: SystemParams) -> ReducedState:
     """Evolve (a, b) by the closed-form block propagator; vacuum weight is frozen.
 
-    |0,0> is an eigenstate of the pair Hamiltonian with eigenvalue 0, so the
-    leaked branches pick up at most irrelevant probe phases and ``v`` is
-    carried through unchanged.
+    |0,0> is an eigenstate of the pair Hamiltonian with eigenvalue 0, so ``v``
+    is carried through unchanged.
     """
     u = single_excitation_block(dt, params)
     return ReducedState(

@@ -36,9 +36,7 @@ __all__ = [
     "initial_state",
     "free_step",
     "kick",
-    "gamma_exchange",
     "run_schedule",
-    "dump_amplitudes",
 ]
 
 MAX_PROBES = 20
@@ -95,12 +93,11 @@ def initial_state(n_probes: int) -> FullState:
 
 
 def free_step(state: FullState, dt: float, params: SystemParams) -> FullState:
-    """Apply exp(-i (H_pair + H_probes) dt) exactly.
+    """Apply exp(-i H_pair dt) exactly; probes have no free Hamiltonian.
 
     The pair Hamiltonian acts blockwise on the system factor: the closed-form
     2x2 rotation inside each single-excitation block, eigenphases on |0,0>
-    (eigenvalue 0) and |1,1> (eps_a + eps_b).  The probe Hamiltonian is
-    diagonal and contributes a phase per excited/ground probe level.
+    (eigenvalue 0) and |1,1> (eps_a + eps_b).
     """
     u = single_excitation_block(dt, params)  # validates dt
     psi = state.amps.reshape(-1, 4).copy()
@@ -109,14 +106,6 @@ def free_step(state: FullState, dt: float, params: SystemParams) -> FullState:
     psi[:, 2] = u[0, 0] * x10 + u[0, 1] * x01
     psi[:, 1] = u[1, 0] * x10 + u[1, 1] * x01
     psi[:, 3] *= cmath.exp(-1j * (params.eps_a + params.eps_b) * dt)
-    lam1, lam0 = params.probe_phases
-    if state.n_probes and (lam1 != 0.0 or lam0 != 0.0):
-        m = np.arange(2**state.n_probes)
-        excited = np.zeros_like(m)
-        for k in range(state.n_probes):
-            excited += (m >> k) & 1
-        phases = np.exp(-1j * dt * (lam1 * excited + lam0 * (state.n_probes - excited)))
-        psi *= phases[:, None]
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -140,22 +129,6 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
         y = psi[rows1, col_b0].copy()  # b ground, probe excited
         psi[rows0, col_b1] = cg * x - 1j * sg * y
         psi[rows1, col_b0] = cg * y - 1j * sg * x
-    return FullState(psi.reshape(-1), state.n_probes)
-
-
-def gamma_exchange(state: FullState, probe_index: int) -> FullState:
-    """Exchange operator generating the kick: swap (b=1, probe=0) <-> (b=0, probe=1).
-
-    Acts as the identity on every unpaired basis state, so it squares to the
-    identity exactly; a kick equals cos(g) - i sin(g) times this operator on
-    the paired subspace.
-    """
-    rows0, rows1 = _pair_rows(state.n_probes, probe_index)
-    psi = state.amps.reshape(-1, 4).copy()
-    for col_b1, col_b0 in ((1, 0), (3, 2)):
-        x = psi[rows0, col_b1].copy()
-        psi[rows0, col_b1] = psi[rows1, col_b0]
-        psi[rows1, col_b0] = x
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -184,13 +157,3 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     data = np.array(rows)
     return Trajectory(np.array(times), data[:, 0], data[:, 1], data[:, 2], data[:, 3])
 
-
-def dump_amplitudes(state: FullState) -> str:
-    """Plain-text amplitude dump: one ``index re im`` line per basis state.
-
-    Indices are ascending and follow the module-level basis ordering
-    (index = probe bits << 2 | a << 1 | b); values carry 17 significant
-    digits so doubles round-trip exactly.
-    """
-    lines = [f"{i} {z.real:.17g} {z.imag:.17g}" for i, z in enumerate(state.amps)]
-    return "\n".join(lines) + "\n"

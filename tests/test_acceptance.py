@@ -32,7 +32,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_c01_reduced_path_equals_dense_path():
     start = time.monotonic()
-    max_dev, trials = cli.oracle_engine_deviation(
+    max_dev = cli.oracle_engine_deviation(
         trials=200, n_choices=tuple(range(11)), total_time=1.0,
         resolution=100, seed=2024, params=RESONANT,
     )
@@ -40,7 +40,7 @@ def test_c01_reduced_path_equals_dense_path():
     ok = max_dev <= 1e-10 and elapsed < 30.0
     report(
         "criterion 1: oracle equivalence over 200 random schedules",
-        ok, f"max_dev={max_dev:.3e}, trials={trials}, {elapsed:.1f}s",
+        ok, f"max_dev={max_dev:.3e}, trials=200, {elapsed:.1f}s",
     )
 
 
@@ -112,8 +112,8 @@ def test_c05_mirror_kick_parity_identities():
 def test_c06_mirror_kick_echo():
     t_m = 0.5
     schedule = KickSchedule(((t_m, math.pi),), 2 * t_m, sample_resolution=100.0)
-    final = engine.run_schedule(schedule, RESONANT).final()
-    echo_ok = abs(final.p10 - 1.0) <= 1e-12
+    traj = engine.run_schedule(schedule, RESONANT)
+    echo_ok = abs(traj.p10[-1] - 1.0) <= 1e-12
 
     kicked = analytics.survival_function(((t_m, math.pi),), RESONANT)
     before = analytics.finite_difference_rate(kicked, t_m + 0.2, "central")
@@ -126,7 +126,7 @@ def test_c06_mirror_kick_echo():
     )
     ok = echo_ok and sign_ok
     report("criterion 6: echo returns to 1 and the rate flips sign at t_m", ok,
-           f"p10(2 t_m)={final.p10:.15f}, rate(+0.2)={before:.4f}, rate(+0.8)={after:.4f}")
+           f"p10(2 t_m)={traj.p10[-1]:.15f}, rate(+0.2)={before:.4f}, rate(+0.8)={after:.4f}")
 
 
 @pytest.mark.parametrize("g", [math.pi / 4, math.pi / 2, 3 * math.pi / 4])

@@ -1,5 +1,6 @@
 """Config parsing, command behavior, exit codes and output format guarantees."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,25 @@ class TestParseIntList:
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             cli.parse_int_list(text)
+
+    def test_entry_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LIST_ENTRIES", 5)
+        assert cli.parse_int_list("1..3, 7, 9") == (1, 2, 3, 7, 9)
+        assert cli.parse_int_list("1..5") == (1, 2, 3, 4, 5)
+        for text in ("1..6", "1..3, 7, 9, 11", "0, 1..5"):
+            with pytest.raises(ValueError, match="more than 5 entries"):
+                cli.parse_int_list(text)
+
+    def test_oversized_range_is_refused_before_expanding(self, tmp_path, capsys):
+        # The default limit refuses this range without allocating it.
+        out = tmp_path / "huge.csv"
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            f"scenario = sweep\nT = 1\ng_list = 1\nN_list = 1..1000000000000\nout = {out}\n"
+        )
+        assert cli.main([str(path)]) == 2
+        assert "huge.txt:4:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParseConfig:
@@ -98,7 +118,12 @@ class TestParseConfig:
     def test_every_preset_parses(self):
         for name, text in cli.PRESETS.items():
             config = cli.parse_config(text, name)
-            assert config.scenario in cli.SCENARIOS
+            assert config.scenario in cli.COMMANDS
+
+    def test_key_table_covers_every_config_field(self):
+        attrs = {attr for attr, _ in cli._KEYS.values()}
+        assert attrs == {field.name for field in dataclasses.fields(cli.ScenarioConfig)}
+        assert len(attrs) == len(cli._KEYS)
 
 
 class TestCmdRun:
@@ -319,6 +344,31 @@ class TestMainPlumbing:
         assert out.exists()
         script = out.with_suffix(".gp").read_text()
         assert "plot" in script and "table.csv" in script
+
+    @pytest.mark.parametrize("name", sorted(set(cli.PRESETS) - {"oracle-check"}))
+    def test_preset_with_gnuplot(self, name, tmp_path, monkeypatch, capsys):
+        # oracle-check takes seconds; acceptance c01 covers the same path.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--preset", name, "--gnuplot"]) == 0
+        scenario = cli.parse_config(cli.PRESETS[name]).scenario
+        scripts = [path.name for path in tmp_path.glob("*.gp")]
+        assert scripts == ([f"{name}.gp"] if scenario in ("run", "sweep") else [])
+        assert f"wrote {name}" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scenario", ["sweep\ng_list = pi/2\nN_list = 1..3", "run\nt_kicks = 0.5"]
+    )
+    def test_non_finite_populations_are_refused(self, scenario, tmp_path, capsys):
+        # G T overflows to inf, so the propagator is NaN: refuse it, write nothing.
+        out = tmp_path / "nan.csv"
+        path = tmp_path / "nan.txt"
+        path.write_text(
+            f"scenario = {scenario}\nG = 1e10\nT = 1e300\nresolution = 4\nout = {out}\n"
+        )
+        assert cli.main([str(path)]) == 2
+        assert "populations" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_preset_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"

@@ -52,8 +52,6 @@ class TestSystemParams:
     def test_rejects_non_finite_energy(self):
         with pytest.raises(ValueError):
             SystemParams(eps_a=math.inf)
-        with pytest.raises(ValueError):
-            SystemParams(probe_phases=(math.nan, 0.0))
 
 
 class TestFreePropagate:
@@ -277,6 +275,16 @@ class TestStateAndTrajectoryValidation:
         with pytest.raises(ValueError, match="drifted"):
             check_populations(one, zero, zero, one + 2e-10)
 
+    @pytest.mark.parametrize("shape", ["scalar", "array"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_population_guard_rejects_nan(self, shape, slot):
+        args = [1.0, 0.0, 0.0, 1.0]
+        args[slot] = math.nan
+        if shape == "array":
+            args = [np.array([x, x]) for x in args]
+        with pytest.raises(ValueError):
+            check_populations(*args)
+
     def test_trajectory_rejects_time_reversal(self):
         t = np.array([0.0, -0.5])
         one = np.array([1.0, 1.0])
@@ -287,5 +295,6 @@ class TestStateAndTrajectoryValidation:
         t = np.array([0.0, 0.5])
         traj = Trajectory(t, np.array([1.0, 0.8]), np.array([0.0, 0.2]),
                           np.zeros(2), np.ones(2))
-        assert traj.final() == (0.5, 0.8, 0.2, 0.0, 1.0)
+        final = (traj.t[-1], traj.p10[-1], traj.p01[-1], traj.pvac[-1], traj.norm[-1])
+        assert final == (0.5, 0.8, 0.2, 0.0, 1.0)
         assert len(traj) == 2
