@@ -55,7 +55,12 @@ __all__ = [
 
 ORACLE_CHECK_TOLERANCE = 1e-10
 ORACLE_CHECK_MAX_KICKS = 10
+#: kick counts an ``oracle-check`` draws from when ``N_list`` is not given
+ORACLE_CHECK_KICK_COUNTS = tuple(range(9))
 MAX_LIST_ENTRIES = 10**6
+#: Samples a ``run`` or ``oracle-check`` scenario may take in all.  A written
+#: trajectory sample costs about 0.5 KB of peak memory while its CSV is built.
+MAX_SAMPLES = 10**6
 
 
 class ConfigError(Exception):
@@ -228,7 +233,47 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(str(exc), source, lineno) from None
     if "scenario" not in fields:
         raise ConfigError("missing required key 'scenario'", source)
-    return ScenarioConfig(**fields)  # type: ignore[arg-type]
+    config = ScenarioConfig(**fields)  # type: ignore[arg-type]
+    try:
+        _check_size(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc), source) from None
+    return config
+
+
+def _check_size(config: ScenarioConfig) -> None:
+    """Refuse, before any compute, a scenario too large to sample or to propagate.
+
+    The sample count is (strengths or trials) x (grid points + a pre and a
+    post record per kick), exact unless a kick falls on a grid point.  The
+    longest free step (``T``, or ``tau`` for an interval sweep) times each
+    rate of the pair Hamiltonian must be a finite angle, or the propagators
+    would turn to NaN.
+    """
+    if config.scenario == "sweep" and config.mode == "interval":
+        step, step_name = config.interval, "tau"
+    else:
+        step, step_name = config.total_time, "T"
+    if step is None or config.scenario == "rates":
+        return
+    if config.scenario in ("run", "oracle-check"):
+        if config.scenario == "run":
+            runs, kicks = max(1, len(config.g_list)), len(config.kick_times)
+        else:
+            runs, kicks = config.trials, max(config.n_list or ORACLE_CHECK_KICK_COUNTS)
+        per_run = (max(1, config.resolution) + 1 if step > 0 else 1) + 2 * kicks
+        if runs * per_run > MAX_SAMPLES:
+            raise ValueError(
+                f"scenario would take {runs * per_run} samples ({runs} x {per_run}); "
+                f"at most {MAX_SAMPLES} are allowed"
+            )
+    omega = math.hypot(0.5 * (config.eps_a - config.eps_b), config.coupling)
+    for rate, name in ((omega, "omega"), (config.eps_a + config.eps_b, "(eps_a + eps_b)")):
+        if not math.isfinite(rate * step):
+            raise ValueError(
+                f"{name} * {step_name} overflows ({name} = {rate:g}, {step_name} = {step:g}); "
+                "reduce G, eps_a, eps_b or the run time"
+            )
 
 
 PRESETS: dict[str, str] = {
@@ -436,7 +481,7 @@ def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Randomized reduced-vs-dense comparison; prints one report line and plots nothing."""
     if config.total_time is None:
         raise ValueError("scenario 'oracle-check' needs T")
-    n_choices = config.n_list if config.n_list else tuple(range(9))
+    n_choices = config.n_list or ORACLE_CHECK_KICK_COUNTS
     if config.trials == 0:
         print("warning: trials=0, nothing was compared", file=sys.stderr)
     max_dev = oracle_engine_deviation(

@@ -11,6 +11,24 @@ index = (probe bits << 2) | (a bit << 1) | b bit
 
 Probe k occupies bit k + 2, so probe 0 is the least significant probe bit.
 With no probes the four system states order as |0,0>, |0,1>, |1,0>, |1,1>.
+``FullState.amps`` always holds this flat ordering.
+
+Working array
+-------------
+Every step works in place on a system-major view of the amplitudes,
+``phi[s, m] = amps[(m << 2) | s]`` with shape ``(4, 2**n)``: a free step
+updates rows 1 and 2 (and the phase of row 3), a kick on probe k rotates
+slices of ``phi.reshape(4, 2**(n-k-1), 2, 2**k)``, and the populations are
+row sums of ``|phi|**2``.  ``run_schedule`` copies the initial state into one
+contiguous working array and allocates one scratch buffer, once per run; the
+public ``free_step``, ``kick`` and ``FullState.populations`` copy the state,
+run the same kernel on the copy and return fresh values.
+
+Each product is computed as the out-of-place expression ``u[i, j] * x`` or
+``cos g * x - (i sin g) * y`` would compute it, in that operand order and
+never written over one of its own operands: numpy's in-place complex
+multiply can round an ulp differently.  The one in-place product is the
+|1,1> phase, ``row *= phase``.
 """
 
 from __future__ import annotations
@@ -64,23 +82,68 @@ class FullState:
 
     def populations(self) -> tuple[float, float, float]:
         """(P10, P01, Pvac): weight summed over all probe configurations."""
-        p10, p01, pvac, _ = _population_split(self.amps)
-        return p10, p01, pvac
+        phi = self.amps.reshape(-1, 4).T.copy()
+        p00, p01, p10, _ = _populations(phi, np.empty(phi.size, dtype=np.complex128))
+        return p10, p01, p00
 
 
-def _population_split(amps: np.ndarray) -> tuple[float, float, float, float]:
-    w = (amps.real**2 + amps.imag**2).reshape(-1, 4)
-    col = w.sum(axis=0)
-    return float(col[2]), float(col[1]), float(col[0]), float(col[3])
+def _populations(phi: np.ndarray, scratch: np.ndarray) -> list[float]:
+    """Weight of each system state s, summed over the probes: row sums of |phi|^2.
+
+    ``phi`` must be contiguous; its rows are read as interleaved (re, im)
+    pairs and squared into ``scratch``, which needs ``phi.size`` complex slots.
+    """
+    w = scratch.view(np.float64).reshape(4, -1)
+    np.square(phi.view(np.float64), out=w)
+    return w.sum(axis=1).tolist()
 
 
-def _pair_rows(n_probes: int, probe_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probe-register rows paired by flipping probe ``probe_index``: bit clear, bit set."""
+def _free_step_in_place(
+    phi: np.ndarray, dt: float, params: SystemParams, scratch: np.ndarray
+) -> None:
+    """exp(-i H_pair dt) on a system-major array; ``scratch`` needs phi.size / 2 slots."""
+    u = single_excitation_block(dt, params)  # validates dt
+    x01, x10 = phi[1], phi[2]
+    t1, t2 = scratch[: x10.size], scratch[x10.size : 2 * x10.size]
+    np.multiply(u[0, 0], x10, out=t1)
+    np.multiply(u[0, 1], x01, out=t2)
+    np.add(t1, t2, out=t1)
+    np.multiply(u[1, 0], x10, out=t2)
+    x10[...] = t1
+    np.multiply(u[1, 1], x01, out=t1)
+    np.add(t2, t1, out=x01)
+    np.multiply(phi[3], cmath.exp(-1j * (params.eps_a + params.eps_b) * dt), out=phi[3])
+
+
+def _kick_in_place(phi: np.ndarray, probe_index: int, g: float, scratch: np.ndarray) -> None:
+    """Kick rotation on a system-major array; ``scratch`` needs phi.size / 4 slots.
+
+    With ``quad = phi.reshape(4, 2**(n-k-1), 2, 2**k)`` the probe-k bit is
+    axis 2, so (b=1, probe=0) is ``quad[s | 1, :, 0]`` and its partner
+    (b=0, probe=1) is ``quad[s, :, 1]`` for each a-bit row pair s in {0, 2}.
+    """
+    if not math.isfinite(g):
+        raise ValueError(f"kick strength must be finite, got {g}")
+    n_probes = phi.shape[1].bit_length() - 1
     if not 0 <= probe_index < n_probes:
         raise IndexError(f"probe index {probe_index} out of range for {n_probes} probes")
-    m = np.arange(2**n_probes)
-    rows0 = m[(m >> probe_index) & 1 == 0]
-    return rows0, rows0 | (1 << probe_index)
+    cg = math.cos(g)
+    isg = 1j * math.sin(g)
+    shape = (4, 2 ** (n_probes - probe_index - 1), 2, 2**probe_index)
+    quad = phi.reshape(shape)  # splitting one axis never copies, so writes land in phi
+    half = phi.shape[1] // 2
+    t1 = scratch[:half].reshape(shape[1], shape[3])
+    t2 = scratch[half : 2 * half].reshape(shape[1], shape[3])
+    for s_b1, s_b0 in ((1, 0), (3, 2)):
+        x = quad[s_b1, :, 0]  # b excited, probe ground
+        y = quad[s_b0, :, 1]  # b ground, probe excited
+        np.multiply(cg, x, out=t1)
+        np.multiply(isg, y, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(cg, y, out=t2)
+        np.multiply(isg, x, out=y)
+        np.subtract(t2, y, out=y)
+        x[...] = t1
 
 
 def initial_state(n_probes: int) -> FullState:
@@ -99,13 +162,8 @@ def free_step(state: FullState, dt: float, params: SystemParams) -> FullState:
     2x2 rotation inside each single-excitation block, eigenphases on |0,0>
     (eigenvalue 0) and |1,1> (eps_a + eps_b).
     """
-    u = single_excitation_block(dt, params)  # validates dt
     psi = state.amps.reshape(-1, 4).copy()
-    x10 = psi[:, 2].copy()
-    x01 = psi[:, 1].copy()
-    psi[:, 2] = u[0, 0] * x10 + u[0, 1] * x01
-    psi[:, 1] = u[1, 0] * x10 + u[1, 1] * x01
-    psi[:, 3] *= cmath.exp(-1j * (params.eps_a + params.eps_b) * dt)
+    _free_step_in_place(psi.T, dt, params, np.empty(psi.size // 2, dtype=np.complex128))
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -118,17 +176,8 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     directly (instead of exponentiating a matrix) keeps the kick exactly
     unitary and exactly the identity where the exchange generator vanishes.
     """
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
-    rows0, rows1 = _pair_rows(state.n_probes, probe_index)
-    cg = math.cos(g)
-    sg = math.sin(g)
     psi = state.amps.reshape(-1, 4).copy()
-    for col_b1, col_b0 in ((1, 0), (3, 2)):
-        x = psi[rows0, col_b1].copy()  # b excited, probe ground
-        y = psi[rows1, col_b0].copy()  # b ground, probe excited
-        psi[rows0, col_b1] = cg * x - 1j * sg * y
-        psi[rows1, col_b0] = cg * y - 1j * sg * x
+    _kick_in_place(psi.T, probe_index, g, np.empty(psi.size // 4, dtype=np.complex128))
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -142,18 +191,18 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
         raise CapacityError(
             f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
         )
-    state = initial_state(len(schedule.kicks))
+    phi = initial_state(len(schedule.kicks)).amps.reshape(-1, 4).T.copy()
+    scratch = np.empty(phi.size, dtype=np.complex128)
     times: list[float] = []
     rows: list[tuple[float, float, float, float]] = []
     for step in schedule_steps(schedule):
         if step[0] == "advance":
-            state = free_step(state, step[1], params)
+            _free_step_in_place(phi, step[1], params, scratch)
         elif step[0] == "kick":
-            state = kick(state, step[1], step[2])
+            _kick_in_place(phi, step[1], step[2], scratch)
         else:
-            p10, p01, pvac, p11 = _population_split(state.amps)
+            p00, p01, p10, p11 = _populations(phi, scratch)
             times.append(step[1])
-            rows.append((p10, p01, pvac, p10 + p01 + pvac + p11))
+            rows.append((p10, p01, p00, p10 + p01 + p00 + p11))
     data = np.array(rows)
     return Trajectory(np.array(times), data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-

@@ -2,10 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenokick
 from zenokick import cli, engine
 from zenokick.core import ReducedState, Trajectory
 
@@ -355,20 +361,79 @@ class TestMainPlumbing:
         assert scripts == ([f"{name}.gp"] if scenario in ("run", "sweep") else [])
         assert f"wrote {name}" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "scenario", ["sweep\ng_list = pi/2\nN_list = 1..3", "run\nt_kicks = 0.5"]
     )
     def test_non_finite_populations_are_refused(self, scenario, tmp_path, capsys):
-        # G T overflows to inf, so the propagator is NaN: refuse it, write nothing.
+        # G T overflows to inf, which would make the propagator NaN: the
+        # overflow is named and refused before any compute, without a warning.
         out = tmp_path / "nan.csv"
         path = tmp_path / "nan.txt"
         path.write_text(
             f"scenario = {scenario}\nG = 1e10\nT = 1e300\nresolution = 4\nout = {out}\n"
         )
-        assert cli.main([str(path)]) == 2
-        assert "populations" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([str(path)]) == 2
+        assert caught == []
+        assert "omega * T overflows" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            ("scenario = sweep\nG = 1e10\nmode = interval\ntau = 1e300\ng_list = 1\nN_list = 1",
+             "omega * tau overflows"),
+            ("scenario = run\neps_a = 1e308\neps_b = 1e308\nT = 1",
+             "(eps_a + eps_b) * T overflows"),
+            ("scenario = oracle-check\neps_a = 1e308\neps_b = -1e308\nT = 1\ntrials = 1",
+             "omega * T overflows"),
+        ],
+    )
+    def test_overflow_names_its_cause(self, body, cause, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        path = tmp_path / "x.txt"
+        path.write_text(f"{body}\nout = {out}\n")
+        assert cli.main([str(path)]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["run", "oracle-check"])
+    def test_oversized_sample_count_is_refused_before_compute(self, scenario, tmp_path, capsys):
+        out = tmp_path / "huge.csv"
+        path = tmp_path / "huge.txt"
+        path.write_text(f"scenario = {scenario}\nT = 1\nresolution = 1000000000000\nout = {out}\n")
+        assert cli.main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "samples" in err and str(cli.MAX_SAMPLES) in err
+        assert not out.exists()
+
+    def test_sample_limit_is_the_exact_sample_count_of_a_run(self, tmp_path, monkeypatch, capsys):
+        # Two strengths x (11 grid points + a pre and a post record per kick) = 30;
+        # the count is exact when no kick falls on a grid point (0.2 apart).
+        out = tmp_path / "r.csv"
+        text = (
+            "scenario = run\nT = 2\nt_kicks = 0.5, 1.3\ng_list = 1, 2\nresolution = 10\n"
+            f"out = {out}\n"
+        )
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 29)
+        with pytest.raises(cli.ConfigError, match=r"30 samples \(2 x 15\)"):
+            cli.parse_config(text)
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 30)
+        assert cli.cmd_run(cli.parse_config(text)) == 0
+        files = sorted(tmp_path.glob("r_g*.csv"))
+        assert [len(path.read_text().splitlines()) - 1 for path in files] == [15, 15]
+
+    def test_python_dash_m_runs_the_cli_without_warnings(self):
+        src = str(Path(zenokick.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zenokick", "--list-presets"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.split() == sorted(cli.PRESETS)
+        assert proc.stderr == ""
 
     def test_preset_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"

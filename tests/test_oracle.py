@@ -1,5 +1,6 @@
 """Tests of the dense full-space path, including its own independent oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,9 +8,16 @@ import pytest
 from scipy.linalg import expm
 
 from zenokick import engine, oracle
-from zenokick.core import CapacityError, KickSchedule, SystemParams
+from zenokick.core import (
+    CapacityError,
+    KickSchedule,
+    SystemParams,
+    schedule_steps,
+    single_excitation_block,
+)
 
 RESONANT = SystemParams()
+DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
 
 
 def random_full_state(n_probes, seed):
@@ -118,9 +126,11 @@ class TestKick:
             out = oracle.kick(state, 2, g)
             assert abs(out.norm() - 1.0) < 1e-13
 
-    def test_matches_exponential_of_generator(self):
-        # Independent oracle: expm(-i g Gamma) applied as a dense matrix.
-        n_probes, probe_index, g = 2, 1, 0.77
+    @pytest.mark.parametrize("probe_index", range(3))
+    def test_matches_exponential_of_generator(self, probe_index):
+        # Independent oracle: expm(-i g Gamma) applied as a dense matrix.  The
+        # first and the last probe are the edge cases of the kick's slicing.
+        n_probes, g = 3, 0.77
         gamma = dense_exchange_matrix(n_probes, probe_index)
         state = random_full_state(n_probes, seed=11)
         expected = expm(-1j * g * gamma) @ state.amps
@@ -135,7 +145,96 @@ class TestKick:
             oracle.kick(state, -1, 1.0)
 
 
+class TestBitForBit:
+    """The in-place kernels give exactly the plain out-of-place expressions."""
+
+    @pytest.mark.parametrize("n_probes", range(4))
+    def test_free_step(self, n_probes):
+        state = random_full_state(n_probes, seed=40 + n_probes)
+        for params in (RESONANT, DETUNED):
+            for dt in (0.0, 1e-9, 0.013, 0.73, 5.0):
+                u = single_excitation_block(dt, params)
+                psi = state.amps.reshape(-1, 4).copy()
+                x10, x01 = psi[:, 2].copy(), psi[:, 1].copy()
+                psi[:, 2] = u[0, 0] * x10 + u[0, 1] * x01
+                psi[:, 1] = u[1, 0] * x10 + u[1, 1] * x01
+                psi[:, 3] *= cmath.exp(-1j * (params.eps_a + params.eps_b) * dt)
+                out = oracle.free_step(state, dt, params)
+                np.testing.assert_array_equal(out.amps, psi.reshape(-1))
+
+    @pytest.mark.parametrize("n_probes", range(1, 5))
+    def test_kick(self, n_probes):
+        state = random_full_state(n_probes, seed=50 + n_probes)
+        m = np.arange(2**n_probes)
+        for probe_index in range(n_probes):
+            rows0 = m[(m >> probe_index) & 1 == 0]
+            rows1 = rows0 | (1 << probe_index)
+            for g in (0.0, 0.3, 1.1, math.pi, 4.4, -7.0):
+                cg, sg = math.cos(g), math.sin(g)
+                psi = state.amps.reshape(-1, 4).copy()
+                for col_b1, col_b0 in ((1, 0), (3, 2)):
+                    x = psi[rows0, col_b1].copy()
+                    y = psi[rows1, col_b0].copy()
+                    psi[rows0, col_b1] = cg * x - 1j * sg * y
+                    psi[rows1, col_b0] = cg * y - 1j * sg * x
+                out = oracle.kick(state, probe_index, g)
+                np.testing.assert_array_equal(out.amps, psi.reshape(-1))
+
+
+class TestInputUnchanged:
+    def test_kick_leaves_its_input_unchanged(self):
+        state = random_full_state(3, seed=13)
+        before = state.amps.copy()
+        for probe_index in range(3):
+            oracle.kick(state, probe_index, 1.2)
+        np.testing.assert_array_equal(state.amps, before)
+        assert not state.amps.flags.writeable
+
+    def test_free_step_leaves_its_input_unchanged(self):
+        state = random_full_state(3, seed=17)
+        before = state.amps.copy()
+        oracle.free_step(state, 0.61, DETUNED)
+        np.testing.assert_array_equal(state.amps, before)
+        assert not state.amps.flags.writeable
+
+
+def public_fold(schedule, params):
+    """run_schedule rebuilt from the public free_step, kick and populations()."""
+    state = oracle.initial_state(len(schedule.kicks))
+    t, rows = [], []
+    for step in schedule_steps(schedule):
+        if step[0] == "advance":
+            state = oracle.free_step(state, step[1], params)
+        elif step[0] == "kick":
+            state = oracle.kick(state, step[1], step[2])
+        else:
+            t.append(step[1])
+            rows.append((*state.populations(), state.norm() ** 2))
+    return np.array(t), np.array(rows)
+
+
 class TestRunSchedule:
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize(
+        "kicks",
+        [
+            (),
+            ((0.0, 0.0), (0.4, 1.1), (0.9, 2.5), (1.3, math.pi)),
+            ((0.0, math.pi), (0.25, 0.7), (0.5, 4.0), (0.75, 1.9), (1.3, 0.0)),
+            ((0.65, math.pi / 2),),
+        ],
+        ids=["no-kicks", "g0-at-start-pi-at-end", "pi-at-start-g0-at-end", "one-kick"],
+    )
+    def test_equals_the_public_step_fold(self, kicks, params):
+        # Kick k uses probe k, so the first and last kicks hit probes 0 and n-1.
+        schedule = KickSchedule(kicks, 1.3, 20.0)
+        traj = oracle.run_schedule(schedule, params)
+        t, rows = public_fold(schedule, params)
+        np.testing.assert_array_equal(traj.t, t)
+        for column, attr in enumerate(("p10", "p01", "pvac", "norm")):
+            assert np.max(np.abs(getattr(traj, attr) - rows[:, column])) <= 1e-15
+
+
     def test_quarter_period_without_kicks(self):
         traj = oracle.run_schedule(KickSchedule((), math.pi / 2, 10.0), RESONANT)
         assert traj.p10[-1] < 1e-12
@@ -167,8 +266,6 @@ class TestRunSchedule:
         gs = rng.uniform(0.0, 2 * math.pi, 5)
         schedule = KickSchedule(tuple(zip(times, gs)), 1.5, 0.0)
         state = oracle.initial_state(len(schedule.kicks))
-        from zenokick.core import schedule_steps
-
         for step in schedule_steps(schedule):
             if step[0] == "advance":
                 state = oracle.free_step(state, step[1], RESONANT)
