@@ -58,8 +58,9 @@ ORACLE_CHECK_MAX_KICKS = 10
 #: kick counts an ``oracle-check`` draws from when ``N_list`` is not given
 ORACLE_CHECK_KICK_COUNTS = tuple(range(9))
 MAX_LIST_ENTRIES = 10**6
-#: Samples a ``run`` or ``oracle-check`` scenario may take in all.  A written
-#: trajectory sample costs about 0.5 KB of peak memory while its CSV is built.
+#: Samples a ``run`` or ``oracle-check`` scenario may take, and cells a
+#: ``sweep`` may hold, in all.  A sample or a cell is one written row, and
+#: costs about 0.5 KB of peak memory while its CSV is built.
 MAX_SAMPLES = 10**6
 
 
@@ -245,11 +246,18 @@ def _check_size(config: ScenarioConfig) -> None:
     """Refuse, before any compute, a scenario too large to sample or to propagate.
 
     The sample count is (strengths or trials) x (grid points + a pre and a
-    post record per kick), exact unless a kick falls on a grid point.  The
-    longest free step (``T``, or ``tau`` for an interval sweep) times each
-    rate of the pair Hamiltonian must be a finite angle, or the propagators
-    would turn to NaN.
+    post record per kick), exact unless a kick falls on a grid point; a
+    sweep's cell count is strengths x kick counts.  The longest free step
+    (``T``, or ``tau`` for an interval sweep) times each rate of the pair
+    Hamiltonian must be a finite angle, or the propagators would turn to NaN.
     """
+    if config.scenario == "sweep":
+        cells = len(config.g_list) * len(config.n_list)
+        if cells > MAX_SAMPLES:
+            raise ValueError(
+                f"sweep would take {cells} cells ({len(config.g_list)} x "
+                f"{len(config.n_list)}); at most {MAX_SAMPLES} are allowed"
+            )
     if config.scenario == "sweep" and config.mode == "interval":
         step, step_name = config.interval, "tau"
     else:

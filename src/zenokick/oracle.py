@@ -24,6 +24,22 @@ contiguous working array and allocates one scratch buffer, once per run; the
 public ``free_step``, ``kick`` and ``FullState.populations`` copy the state,
 run the same kernel on the copy and return fresh values.
 
+Sampling a run
+--------------
+Probes have no free Hamiltonian, so between two kicks only the pair's
+single-excitation block moves.  ``run_schedule`` therefore makes one dense
+free step from each kick to the next, then the kick, and then reads the
+reduced density matrix of the pair right after it (the anchor): the weights
+``p00``, ``p11``, ``A = sum |x10|**2``, ``B = sum |x01|**2`` and the
+coherence ``C = sum x10 conj(x01)``, each summed over all probe states.  A
+sample at time t after the anchor's time t0 is the quadratic form of
+``u = exp(-i H (t - t0))`` on that block,
+``P10 = |u00|**2 A + |u01|**2 B + 2 Re(u00 conj(u01) C)``, ``P01`` the same
+with row 1 of u, and ``Pvac = p00``.  Every dense step still updates all
+``4 * 2**n`` amplitudes, once per kick; the samples cost only vector
+arithmetic, and each is one closed-form step from its anchor, so rounding
+does not grow with the number of samples.
+
 Each product is computed as the out-of-place expression ``u[i, j] * x`` or
 ``cos g * x - (i sin g) * y`` would compute it, in that operand order and
 never written over one of its own operands: numpy's in-place complex
@@ -44,6 +60,7 @@ from .core import (
     KickSchedule,
     SystemParams,
     Trajectory,
+    block_minus_identity,
     schedule_steps,
     single_excitation_block,
 )
@@ -58,6 +75,7 @@ __all__ = [
 ]
 
 MAX_PROBES = 20
+_IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,9 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """Full-space run of a kick schedule; kick k consumes fresh probe k.
 
     Returns the populations sampled exactly like the reduced engine: the
-    uniform grid plus both one-sided records at each kick instant.
+    uniform grid plus both one-sided records at each kick instant.  The dense
+    state moves only from kick to kick; every sample is read off the reduced
+    density matrix of the pair right after the latest kick before it.
     """
     if len(schedule.kicks) > MAX_PROBES:
         raise CapacityError(
@@ -193,16 +213,42 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
         )
     phi = initial_state(len(schedule.kicks)).amps.reshape(-1, 4).T.copy()
     scratch = np.empty(phi.size, dtype=np.complex128)
+    t_anchor: list[float] = []
+    pops: list[list[float]] = []  # per anchor: p00, p01 = B, p10 = A, p11
+    cross: list[complex] = []  # per anchor: C = sum of x10 conj(x01)
+
+    def anchor(t: float) -> None:
+        t_anchor.append(t)
+        pops.append(_populations(phi, scratch))
+        cross.append(np.vdot(phi[1], phi[2]))
+
+    anchor(0.0)
     times: list[float] = []
-    rows: list[tuple[float, float, float, float]] = []
-    for step in schedule_steps(schedule):
-        if step[0] == "advance":
-            _free_step_in_place(phi, step[1], params, scratch)
-        elif step[0] == "kick":
-            _kick_in_place(phi, step[1], step[2], scratch)
-        else:
-            p00, p01, p10, p11 = _populations(phi, scratch)
+    owner: list[int] = []
+    for step in schedule_steps(schedule):  # an "advance" step does no dense work
+        if step[0] == "sample":
             times.append(step[1])
-            rows.append((p10, p01, p00, p10 + p01 + p00 + p11))
-    data = np.array(rows)
-    return Trajectory(np.array(times), data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+            owner.append(len(t_anchor) - 1)
+        elif step[0] == "kick":
+            t_kick = times[-1]  # the pre-kick record, taken at the kick instant
+            if t_kick > t_anchor[-1]:
+                _free_step_in_place(phi, t_kick - t_anchor[-1], params, scratch)
+            _kick_in_place(phi, step[1], step[2], scratch)
+            anchor(t_kick)
+    t = np.array(times)
+    idx = np.array(owner)
+    p00, w01, w10, p11 = np.array(pops)[idx].T
+    c = np.array(cross)[idx]
+    u = block_minus_identity(t - np.array(t_anchor)[idx], params) + _IDENTITY
+
+    def weight(row: int) -> np.ndarray:
+        """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""
+        u0, u1 = u[row, 0], u[row, 1]
+        return (
+            (u0.real**2 + u0.imag**2) * w10
+            + (u1.real**2 + u1.imag**2) * w01
+            + 2.0 * (u0 * u1.conj() * c).real
+        )
+
+    p10, p01 = weight(0), weight(1)
+    return Trajectory(t, p10, p01, p00, p10 + p01 + p00 + p11)

@@ -351,15 +351,20 @@ class TestMainPlumbing:
         script = out.with_suffix(".gp").read_text()
         assert "plot" in script and "table.csv" in script
 
-    @pytest.mark.parametrize("name", sorted(set(cli.PRESETS) - {"oracle-check"}))
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
     def test_preset_with_gnuplot(self, name, tmp_path, monkeypatch, capsys):
-        # oracle-check takes seconds; acceptance c01 covers the same path.
         monkeypatch.chdir(tmp_path)
         assert cli.main(["--preset", name, "--gnuplot"]) == 0
-        scenario = cli.parse_config(cli.PRESETS[name]).scenario
+        config = cli.parse_config(cli.PRESETS[name])
         scripts = [path.name for path in tmp_path.glob("*.gp")]
-        assert scripts == ([f"{name}.gp"] if scenario in ("run", "sweep") else [])
-        assert f"wrote {name}" in capsys.readouterr().out
+        assert scripts == ([f"{name}.gp"] if config.scenario in ("run", "sweep") else [])
+        written = [path.name for path in tmp_path.iterdir() if path.suffix != ".gp"]
+        assert written and all(n.startswith(Path(config.out).stem) for n in written)
+        out = capsys.readouterr().out
+        if config.scenario == "oracle-check":
+            assert out.startswith("status=PASS ")  # its one report line
+        else:
+            assert f"wrote {name}" in out
 
     @pytest.mark.parametrize(
         "scenario", ["sweep\ng_list = pi/2\nN_list = 1..3", "run\nt_kicks = 0.5"]
@@ -423,6 +428,19 @@ class TestMainPlumbing:
         assert cli.cmd_run(cli.parse_config(text)) == 0
         files = sorted(tmp_path.glob("r_g*.csv"))
         assert [len(path.read_text().splitlines()) - 1 for path in files] == [15, 15]
+
+    def test_sweep_cell_limit_is_refused_before_compute(self, tmp_path, monkeypatch, capsys):
+        # Three strengths x four kick counts = 12 cells, one written row each.
+        out = tmp_path / "s.csv"
+        path = tmp_path / "s.txt"
+        path.write_text(f"scenario = sweep\nT = 1\ng_list = 1, 2, 3\nN_list = 1..4\nout = {out}\n")
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 11)
+        assert cli.main([str(path)]) == 2
+        assert "12 cells (3 x 4); at most 11" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 12)
+        assert cli.main([str(path)]) == 0
+        assert len(out.read_text().splitlines()) - 1 == 12
 
     def test_python_dash_m_runs_the_cli_without_warnings(self):
         src = str(Path(zenokick.__file__).resolve().parents[1])
