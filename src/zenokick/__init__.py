@@ -3,9 +3,10 @@
 Two coupled qubits share one excitation; instantaneous probe kicks of
 adjustable strength partially record (or merely mirror) the transition and
 thereby slow, freeze or reverse it.  Three computation paths cover the same
-model and validate each other: a reduced engine whose sweeps cost O(log N)
-per cell, a dense full-space simulation as ground truth, and closed-form
-transition rates with a finite-difference instrument.
+model and validate each other: a reduced engine, whose ``sweep`` returns one
+record per (g, N) cell at O(log N) cost each, a dense full-space simulation
+as ground truth, and closed-form transition rates with a finite-difference
+instrument.
 """
 
 from . import analytics, cli, core, engine, oracle
@@ -24,11 +25,8 @@ from .core import (
     ReducedState,
     SystemParams,
     Trajectory,
-    apply_kick,
-    free_propagate,
-    which_way_information,
 )
-from .engine import SweepRow, SweepSpec, run_equally_spaced, sweep
+from .engine import run_equally_spaced, sweep
 
 __version__ = "0.1.0"
 
@@ -44,11 +42,6 @@ __all__ = [
     "KickSchedule",
     "ReducedState",
     "Trajectory",
-    "apply_kick",
-    "free_propagate",
-    "which_way_information",
-    "SweepRow",
-    "SweepSpec",
     "run_equally_spaced",
     "sweep",
     "rate_free",

@@ -365,8 +365,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     return _csv("t,p10,p01,pvac,norm", "%.17g,%.17g,%.17g,%.17g,%.17g", rows)
 
 
-def sweep_csv(rows: Sequence[engine.SweepRow]) -> str:
-    return _csv("g,N,p10,p01,pvac", "%.17g,%d,%.17g,%.17g,%.17g", rows)
+def sweep_csv(cells: np.recarray) -> str:
+    """One ``g,N,p10,p01,pvac`` line per record of an ``engine.sweep`` result."""
+    return _csv("g,N,p10,p01,pvac", "%.17g,%d,%.17g,%.17g,%.17g", cells.tolist())
 
 
 def _write(path: Path, text: str, note: str = "") -> None:
@@ -423,17 +424,13 @@ def cmd_sweep(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Sweep table CSV over the (g, N) grid, g outermost."""
     if not config.g_list or not config.n_list:
         raise ValueError("scenario 'sweep' needs g_list and N_list")
-    spec = engine.SweepSpec(
-        g_values=config.g_list,
-        n_values=config.n_list,
-        mode=config.mode,
-        total_time=config.total_time,
-        interval=config.interval,
-        params=config.params(),
-    )
-    rows = engine.sweep(spec)
+    key, name = ("total_time", "T") if config.mode == "total" else ("interval", "tau")
+    duration = getattr(config, key)
+    if duration is None:
+        raise ValueError(f"scenario 'sweep' needs {name}")
+    cells = engine.sweep(config.g_list, config.n_list, params=config.params(), **{key: duration})
     out = Path(config.out or "sweep.csv")
-    _write(out, sweep_csv(rows))
+    _write(out, sweep_csv(cells))
     if gnuplot:
         clauses = [
             f"'{out.name}' every ::1 using 2:(stringcolumn(1) eq '{_fmt(g)}' ? $3 : 1/0) "
@@ -500,7 +497,7 @@ def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     report = f"status={status} max_dev={max_dev:.3e} trials={config.trials}"
     print(report)
     if config.out:
-        Path(config.out).write_text(report + "\n")
+        _write(Path(config.out), report + "\n")
     return 0 if status == "PASS" else 1
 
 

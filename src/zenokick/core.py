@@ -38,7 +38,6 @@ __all__ = [
     "block_minus_identity",
     "free_propagate",
     "apply_kick",
-    "which_way_information",
     "schedule_steps",
     "check_populations",
 ]
@@ -257,18 +256,6 @@ def apply_kick(state: ReducedState, g: float) -> ReducedState:
     sg = math.sin(g)
     leak = (state.b.real**2 + state.b.imag**2) * sg * sg
     return ReducedState(state.a, state.b * cg, state.v + leak)
-
-
-def which_way_information(g: float) -> float:
-    """Amount of which-way information a single kick of strength g records.
-
-    Returns 1 - |cos g|: 0 when the probe stays uncorrelated (g = 0 or pi,
-    no information about whether the transition happened), 1 for a complete
-    measurement (g = pi/2, probe state fully resolves it).
-    """
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
-    return 1.0 - abs(math.cos(g))
 
 
 def schedule_steps(schedule: KickSchedule) -> list[tuple]:

@@ -165,18 +165,16 @@ def test_c08_figure_orderings():
         fig1_ok &= bool(np.max(tail - base[past]) > 1e-3)
 
     counts = tuple(range(1, 61))
-    spec2 = engine.SweepSpec(g_values=(math.pi / 2, math.pi), n_values=counts, total_time=math.pi / 2)
-    rows2 = engine.sweep(spec2)
+    rows2 = engine.sweep((math.pi / 2, math.pi), counts, total_time=math.pi / 2)
     complete = {r.n: r.p10 for r in rows2 if r.g == math.pi / 2}
     mirror = {r.n: r.p10 for r in rows2 if r.g == math.pi}
     fig2_ok = all(mirror[n] >= complete[n] - 1e-12 for n in counts)
     fig2_ok &= all(abs(mirror[n] - 1.0) <= 1e-12 for n in counts if n % 2 == 0)
     fig2_ok &= all(mirror[n] < 1.0 - 1e-5 for n in counts if n % 2 == 1)
 
-    spec4 = engine.SweepSpec(
-        g_values=(math.pi / 4, math.pi / 2, 3 * math.pi / 4), n_values=counts, total_time=math.pi / 2
+    rows4 = engine.sweep(
+        (math.pi / 4, math.pi / 2, 3 * math.pi / 4), counts, total_time=math.pi / 2
     )
-    rows4 = engine.sweep(spec4)
     weak = [r.p10 for r in rows4 if r.g == math.pi / 4]
     comp = [r.p10 for r in rows4 if r.g == math.pi / 2]
     strong = [r.p10 for r in rows4 if r.g == 3 * math.pi / 4]

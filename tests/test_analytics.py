@@ -164,8 +164,7 @@ class TestZenoLoss:
         params = SystemParams(coupling=coupling)
         g_values = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
         n_values = tuple(2**k for k in range(10, 31))
-        spec = engine.SweepSpec(g_values, n_values, total_time=math.pi / 2, params=params)
-        for row in engine.sweep(spec):
+        for row in engine.sweep(g_values, n_values, total_time=math.pi / 2, params=params):
             law = analytics.zeno_loss(row.n, row.g, math.pi / 2, params)
             assert abs((1.0 - row.p10) / law - 1.0) <= 64 / row.n + 1e-7, (row.g, row.n)
 

@@ -1,0 +1,47 @@
+"""The public names resolve: every ``__all__`` entry, and every name the benchmark reads.
+
+A deletion that breaks ``bench/`` would otherwise show only when someone runs
+the benchmark.
+"""
+
+import importlib
+
+import pytest
+
+import zenokick
+
+MODULES = ("analytics", "cli", "core", "engine", "oracle")
+
+#: what bench/kernels.py, bench/worker.py and bench/tracer.py reach for
+BENCHMARK_NAMES = (
+    "ReducedState",
+    "SystemParams",
+    "KickSchedule",
+    "Trajectory",
+    "core.free_propagate",
+    "core.apply_kick",
+    "core.schedule_steps",
+    "engine.run_equally_spaced",
+    "engine.sweep",
+    "oracle.initial_state",
+    "oracle.kick",
+    "oracle.free_step",
+    "oracle.run_schedule",
+    "cli.parse_config",
+    "cli.main",
+)
+
+
+@pytest.mark.parametrize("module", ["zenokick", *(f"zenokick.{m}" for m in MODULES)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("dotted", BENCHMARK_NAMES)
+def test_every_name_the_benchmark_reads_resolves(dotted):
+    obj = zenokick
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    assert obj is not None

@@ -223,6 +223,19 @@ class TestCmdSweep:
         path.write_text("scenario = sweep\nT = 1\n")
         assert cli.main([str(path)]) == 2
 
+    @pytest.mark.parametrize("mode, missing, given", [("total", "T", "tau"), ("interval", "tau", "T")])
+    def test_needs_the_duration_of_its_mode(self, tmp_path, capsys, mode, missing, given):
+        # The other mode's duration is set, and does not stand in for the missing one.
+        out = tmp_path / "s.csv"
+        path = tmp_path / "s.txt"
+        path.write_text(
+            f"scenario = sweep\nmode = {mode}\n{given} = 0.5\ng_list = 1\nN_list = 1..3\n"
+            f"out = {out}\n"
+        )
+        assert cli.main([str(path)]) == 2
+        assert f"config error: scenario 'sweep' needs {missing}\n" == capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCsvFormat:
     EDGES = (-1e-13, 0.0, 5e-324, 1 - 2**-53, 1.0)
@@ -234,7 +247,11 @@ class TestCsvFormat:
         assert cli.trajectory_csv(traj) == "\n".join(["t,p10,p01,pvac,norm", *rows]) + "\n"
 
     def test_sweep_floats_match_fstring_formatting(self):
-        table = [engine.SweepRow(x, 3, x, x, x) for x in self.EDGES]
+        column = np.array(self.EDGES)
+        table = np.rec.fromarrays(
+            (column, np.full(len(column), 3), column, column, column),
+            names=("g", "n", "p10", "p01", "pvac"),
+        )
         rows = [f"{x:.17g},3,{x:.17g},{x:.17g},{x:.17g}" for x in self.EDGES]
         assert cli.sweep_csv(table) == "\n".join(["g,N,p10,p01,pvac", *rows]) + "\n"
 
@@ -254,10 +271,11 @@ class TestOracleCheck:
     def test_pass_report(self, tmp_path, capsys):
         config, out = self.config(tmp_path)
         assert cli.cmd_oracle_check(config) == 0
-        line = capsys.readouterr().out.strip()
+        line, *rest = capsys.readouterr().out.splitlines()
         assert line.startswith("status=PASS max_dev=")
         assert line.endswith("trials=25")
-        assert out.read_text().strip() == line
+        assert rest == [f"wrote {out}"]
+        assert out.read_text() == line + "\n"
 
     def test_zero_trials_is_a_vacuous_pass(self, tmp_path, capsys):
         config, _ = self.config(tmp_path, trials=0)

@@ -19,7 +19,6 @@ from zenokick.core import (
     free_propagate,
     schedule_steps,
     single_excitation_block,
-    which_way_information,
 )
 
 RESONANT = SystemParams()
@@ -186,17 +185,6 @@ def test_norm_drift_stays_small_over_ten_thousand_operations():
         state = free_propagate(state, float(rng.uniform(0.0, 0.7)), params)
         state = apply_kick(state, float(rng.uniform(0.0, 2.0 * math.pi)))
     assert abs(state.norm - 1.0) < 1e-10
-
-
-class TestWhichWayInformation:
-    def test_reference_points(self):
-        assert which_way_information(0.0) == 0.0
-        assert which_way_information(math.pi) == 0.0
-        assert which_way_information(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-
-    @given(strengths)
-    def test_bounded(self, g):
-        assert 0.0 <= which_way_information(g) <= 1.0
 
 
 class TestKickSchedule:

@@ -154,70 +154,57 @@ class TestEquallySpaced:
         assert p01 < 1e-32
         assert pvac == pytest.approx(math.sin(0.5) ** 2, abs=1e-14)
 
-    def test_last_kick_lands_exactly_on_the_final_instant(self):
-        for n in (1, 3, 7, 60):
-            sched = engine.equally_spaced_schedule(n, 1.0, total_time=0.1)
-            assert sched.kicks[-1][0] == sched.total_time
-        sched = engine.equally_spaced_schedule(3, 1.0, interval=0.1)
-        assert sched.kicks[-1][0] == sched.total_time
-
     def test_zero_kicks(self):
         p10, _, _ = engine.run_equally_spaced(0, 1.0, total_time=math.pi / 2)
         assert p10 < 1e-12
 
-    def test_requires_exactly_one_duration(self):
-        with pytest.raises(ValueError):
-            engine.equally_spaced_schedule(3, 1.0)
-        with pytest.raises(ValueError):
-            engine.equally_spaced_schedule(3, 1.0, total_time=1.0, interval=0.5)
-
 
 class TestSweep:
     def test_identity_kicks_leave_the_free_answer(self):
-        spec = engine.SweepSpec(g_values=(0.0,), n_values=(5,), total_time=0.8)
-        (row,) = engine.sweep(spec)
-        assert row.p10 == pytest.approx(math.cos(0.8) ** 2, abs=1e-13)
+        (cell,) = engine.sweep((0.0,), (5,), total_time=0.8)
+        assert cell.p10 == pytest.approx(math.cos(0.8) ** 2, abs=1e-13)
 
     def test_row_order_is_g_outer_n_inner(self):
-        spec = engine.SweepSpec(g_values=(0.1, 0.2), n_values=(1, 2, 3), total_time=1.0)
-        cells = [(row.g, row.n) for row in engine.sweep(spec)]
-        assert cells == [(0.1, 1), (0.1, 2), (0.1, 3), (0.2, 1), (0.2, 2), (0.2, 3)]
+        cells = engine.sweep((0.1, 0.2), (1, 2, 3), total_time=1.0)
+        assert list(zip(cells.g.tolist(), cells.n.tolist())) == [
+            (0.1, 1), (0.1, 2), (0.1, 3), (0.2, 1), (0.2, 2), (0.2, 3)
+        ]
+
+    @pytest.mark.parametrize("timing", [{"total_time": 1.0}, {"interval": 0.3}],
+                             ids=["total", "interval"])
+    def test_one_record_per_cell_and_free_cells_keep_their_g(self, timing):
+        g_values, n_values = (0.5, 1.0, 2.5), (0, 3, 0, 7)
+        cells = engine.sweep(g_values, n_values, **timing)
+        assert len(cells) == len(g_values) * len(n_values)
+        assert cells.dtype.names == ("g", "n", "p10", "p01", "pvac")
+        assert cells.g[cells.n == 0].tolist() == [0.5, 0.5, 1.0, 1.0, 2.5, 2.5]
 
     def test_deterministic(self):
-        spec = engine.SweepSpec(
-            g_values=(math.pi / 4, math.pi), n_values=tuple(range(1, 9)), total_time=math.pi / 2
-        )
-        assert engine.sweep(spec) == engine.sweep(spec)
+        g_values, n_values = (math.pi / 4, math.pi), tuple(range(1, 9))
+        first = engine.sweep(g_values, n_values, total_time=math.pi / 2)
+        assert np.array_equal(first, engine.sweep(g_values, n_values, total_time=math.pi / 2))
 
     def test_stronger_kicks_protect_better(self):
-        spec = engine.SweepSpec(
-            g_values=(math.pi / 4, math.pi / 2, 3 * math.pi / 4),
-            n_values=tuple(range(1, 65)),
-            total_time=math.pi / 2,
+        cells = engine.sweep(
+            (math.pi / 4, math.pi / 2, 3 * math.pi / 4), tuple(range(1, 65)), total_time=math.pi / 2
         )
-        rows = engine.sweep(spec)
-        weak = [r.p10 for r in rows if r.g == math.pi / 4]
-        complete = [r.p10 for r in rows if r.g == math.pi / 2]
-        strong = [r.p10 for r in rows if r.g == 3 * math.pi / 4]
-        for w, c, s in zip(weak, complete, strong):
-            assert s >= c - 1e-12
-            assert c >= w - 1e-12
+        weak = cells.p10[cells.g == math.pi / 4]
+        complete = cells.p10[cells.g == math.pi / 2]
+        strong = cells.p10[cells.g == 3 * math.pi / 4]
+        assert np.all(strong >= complete - 1e-12)
+        assert np.all(complete >= weak - 1e-12)
 
     def test_mirror_curve_bounds_complete_curve_and_oscillates(self):
-        spec = engine.SweepSpec(
-            g_values=(math.pi / 2, math.pi), n_values=tuple(range(1, 25)), total_time=math.pi / 2
-        )
-        rows = engine.sweep(spec)
-        complete = {r.n: r.p10 for r in rows if r.g == math.pi / 2}
-        mirror = {r.n: r.p10 for r in rows if r.g == math.pi}
+        cells = engine.sweep((math.pi / 2, math.pi), tuple(range(1, 25)), total_time=math.pi / 2)
+        complete = {r.n: r.p10 for r in cells if r.g == math.pi / 2}
+        mirror = {r.n: r.p10 for r in cells if r.g == math.pi}
         assert all(mirror[n] >= complete[n] - 1e-12 for n in complete)
         assert all(mirror[n] == pytest.approx(1.0, abs=1e-12) for n in mirror if n % 2 == 0)
         assert all(mirror[n] < 1.0 - 1e-5 for n in mirror if n % 2 == 1)
 
     def test_interval_mode_runs_longer_with_n(self):
-        spec = engine.SweepSpec(g_values=(math.pi,), n_values=(2, 4), mode="interval", interval=0.37)
-        rows = engine.sweep(spec)
-        assert all(row.p10 == pytest.approx(1.0, abs=1e-12) for row in rows)
+        cells = engine.sweep((math.pi,), (2, 4), interval=0.37)
+        assert all(cell.p10 == pytest.approx(1.0, abs=1e-12) for cell in cells)
 
     @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
     @pytest.mark.parametrize("mode, duration", [("total", math.pi / 2), ("interval", 0.37)])
@@ -226,13 +213,20 @@ class TestSweep:
         g_values = (0.3, math.pi / 4, math.pi / 2, 2.0, 3 * math.pi / 4, math.pi)
         n_values = (0, *range(1, 33), 48, 64, 96, 128, 192, 256)
         timing = {"total_time": duration} if mode == "total" else {"interval": duration}
-        spec = engine.SweepSpec(g_values, n_values, mode, params=params, **timing)
         worst = 0.0
-        for row in engine.sweep(spec):
-            schedule = engine.equally_spaced_schedule(row.n, row.g, **timing)
-            state = engine.final_state(schedule.kicks, schedule.total_time, params)
-            worst = max(worst, abs(row.p10 - state.p10), abs(row.p01 - state.p01),
-                        abs(row.pvac - state.v))
+        for cell in engine.sweep(g_values, n_values, params=params, **timing):
+            n = int(cell.n)
+            # Kick k at k * tau, k = 1..n; the last one lands exactly at the end of the run.
+            if mode == "total":
+                span = duration
+                times = np.linspace(0.0, span, n + 1)[1:]
+            else:
+                times = duration * np.arange(1, n + 1)
+                span = float(times[-1]) if n else 0.0
+            kicks = [(float(t), float(cell.g)) for t in times]
+            state = engine.final_state(kicks, span, params)
+            worst = max(worst, abs(cell.p10 - state.p10), abs(cell.p01 - state.p01),
+                        abs(cell.pvac - state.v))
         assert worst <= 1e-13
 
     def test_failed_norm_guard_raises(self, monkeypatch):
@@ -241,31 +235,37 @@ class TestSweep:
             return 0.5 * ones, 0.5 * ones, 1e-9 * ones
 
         monkeypatch.setattr(engine, "_equally_spaced_populations", leaky)
-        spec = engine.SweepSpec((1.0,), (3,), total_time=1.0)
         with pytest.raises(ValueError, match="drifted"):
-            engine.sweep(spec)
+            engine.sweep((1.0,), (3,), total_time=1.0)
 
     def test_chunks_give_the_rows_of_one_pass(self, monkeypatch):
-        spec = engine.SweepSpec(
-            g_values=(0.3, math.pi / 4, math.pi),
-            n_values=(0, 1, 2, 5, 17, 64, 1000, 2**40),
-            total_time=math.pi / 2,
-        )
-        whole = engine.sweep(spec)
+        g_values = (0.3, math.pi / 4, math.pi)
+        n_values = (0, 1, 2, 5, 17, 64, 1000, 2**40)
+        whole = engine.sweep(g_values, n_values, total_time=math.pi / 2)
         monkeypatch.setattr(engine, "SWEEP_CHUNK", 7)
-        assert engine.sweep(spec) == whole
+        assert np.array_equal(engine.sweep(g_values, n_values, total_time=math.pi / 2), whole)
 
-    def test_spec_validation(self):
+    def test_validation(self):
+        refused = [
+            dict(g_values=(), n_values=(1,), total_time=1.0),
+            dict(g_values=(1.0,), n_values=(), total_time=1.0),
+            dict(g_values=(math.nan,), n_values=(1,), total_time=1.0),
+            dict(g_values=(1.0,), n_values=(-1,), total_time=1.0),
+            dict(g_values=(1.0,), n_values=(2**63,), total_time=1.0),
+            dict(g_values=(1.0,), n_values=(1,)),  # neither duration
+            dict(g_values=(1.0,), n_values=(1,), total_time=1.0, interval=0.5),  # both
+            dict(g_values=(1.0,), n_values=(1,), total_time=0.0),
+            dict(g_values=(1.0,), n_values=(1,), interval=-0.5),
+            dict(g_values=(1.0,), n_values=(1,), interval=math.inf),
+        ]
+        for kwargs in refused:
+            with pytest.raises(ValueError):
+                engine.sweep(**kwargs)
         with pytest.raises(ValueError):
-            engine.SweepSpec(g_values=(), n_values=(1,), total_time=1.0)
-        with pytest.raises(ValueError):
-            engine.SweepSpec(g_values=(1.0,), n_values=(1,), mode="interval", total_time=1.0)
-        with pytest.raises(ValueError):
-            engine.SweepSpec(g_values=(1.0,), n_values=(-1,), total_time=1.0)
-        with pytest.raises(ValueError):
-            engine.SweepSpec(g_values=(1.0,), n_values=(1,), mode="sideways", total_time=1.0)
-        with pytest.raises(ValueError):
-            engine.SweepSpec(g_values=(1.0,), n_values=(2**63,), total_time=1.0)
+            engine.run_equally_spaced(3, 1.0)
+        # The duration given is the timing rule; there is no separate mode to name.
+        with pytest.raises(TypeError):
+            engine.sweep((1.0,), (1,), mode="sideways", total_time=1.0)
 
 
 class TestLargeKickCounts:
