@@ -154,6 +154,12 @@ class TestEquallySpaced:
         assert p01 < 1e-32
         assert pvac == pytest.approx(math.sin(0.5) ** 2, abs=1e-14)
 
+    def test_requires_exactly_one_duration(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run_equally_spaced(3, 1.0)
+        with pytest.raises(ValueError, match="exactly one"):
+            engine.run_equally_spaced(3, 1.0, total_time=1.0, interval=0.5)
+
     def test_zero_kicks(self):
         p10, _, _ = engine.run_equally_spaced(0, 1.0, total_time=math.pi / 2)
         assert p10 < 1e-12
@@ -245,7 +251,7 @@ class TestSweep:
         monkeypatch.setattr(engine, "SWEEP_CHUNK", 7)
         assert np.array_equal(engine.sweep(g_values, n_values, total_time=math.pi / 2), whole)
 
-    def test_validation(self):
+    def test_spec_validation(self):
         refused = [
             dict(g_values=(), n_values=(1,), total_time=1.0),
             dict(g_values=(1.0,), n_values=(), total_time=1.0),
@@ -261,8 +267,6 @@ class TestSweep:
         for kwargs in refused:
             with pytest.raises(ValueError):
                 engine.sweep(**kwargs)
-        with pytest.raises(ValueError):
-            engine.run_equally_spaced(3, 1.0)
         # The duration given is the timing rule; there is no separate mode to name.
         with pytest.raises(TypeError):
             engine.sweep((1.0,), (1,), mode="sideways", total_time=1.0)
