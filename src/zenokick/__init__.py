@@ -9,7 +9,9 @@ as ground truth, and closed-form transition rates with a finite-difference
 instrument.
 """
 
-from . import analytics, cli, core, engine, oracle
+import importlib
+
+from . import analytics, core, engine, oracle
 from .analytics import (
     finite_difference_rate,
     rate_after_n_kicks,
@@ -29,6 +31,15 @@ from .core import (
 from .engine import run_equally_spaced, sweep
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``cli`` (and argparse with it) loads on first use, so that
+    # ``python -m zenokick.cli`` runs a module the package has not imported.
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "analytics",

@@ -13,6 +13,15 @@ Numbers accept plain floats or pi forms (``pi``, ``pi/2``, ``3pi/4``,
 ``-2pi``); integer lists accept ``a..b`` ranges.  Floats are written with 17
 significant digits so repeated runs are byte-identical and values round-trip.
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 usage or config error.
+
+Tables are written 8192 rows at a time: the columns of a block are
+interleaved into one argument tuple for one ``%`` call on the line format
+repeated.  A column whose values repeat by construction formats each
+distinct value once and passes the texts: the sample times, shared by every
+strength of a ``run``, and its ``pvac`` and ``norm``, which change only at
+kicks; a sweep's ``g`` and ``N``.  Values are told apart by their bits, so
+``-0.0`` and ``0.0`` keep their own texts, and the bytes are those of
+formatting every value on its own.
 """
 
 from __future__ import annotations
@@ -23,12 +32,13 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import engine, oracle
 from .analytics import (
+    CENTRAL_STEP,
     ONE_SIDED_STEP,
     finite_difference_rate,
     rate_after_n_kicks,
@@ -60,8 +70,34 @@ ORACLE_CHECK_KICK_COUNTS = tuple(range(9))
 MAX_LIST_ENTRIES = 10**6
 #: Samples a ``run`` or ``oracle-check`` scenario may take, and cells a
 #: ``sweep`` may hold, in all.  A sample or a cell is one written row, and
-#: costs about 0.5 KB of peak memory while its CSV is built.
+#: costs about 0.3 KB of peak memory while it is computed and written.
 MAX_SAMPLES = 10**6
+#: Largest ``abs_error`` each ``rates`` check accepts.
+RATE_TOLERANCES = {
+    "rate_free": 1e-8,
+    "rate_after_one_kick": 1e-4,
+    "rate_super_zeno": 1e-8,
+    "rate_after_n_kicks": 1e-4,
+}
+#: How far P10, as the engine evaluates it, may be off at the couplings the
+#: ``rates`` checks accept: 16 units in the last place of 1.  The worst
+#: measured against a 40-digit model is 6.2, at G = 5.3 and c t = 16.7.
+_P10_ROUNDING = 16 * sys.float_info.epsilon
+#: Largest coupling G whose ``rates`` checks can meet their tolerances.  On
+#: their curves |d^3 P10/dt^3| <= 4 G^3 and |d^2 P10/dt^2| <= 2 G^2, so a
+#: central difference with step h is off by at most (2/3) G^3 h^2 +
+#: rounding / h, and a one-sided one by G^2 h + 2 rounding / h.  Past this G
+#: the bound of some check exceeds its tolerance.
+RATES_MAX_COUPLING = min(
+    (
+        1.5 * (min(RATE_TOLERANCES["rate_free"], RATE_TOLERANCES["rate_super_zeno"])
+               - _P10_ROUNDING / CENTRAL_STEP) / CENTRAL_STEP**2
+    ) ** (1 / 3),
+    (
+        (min(RATE_TOLERANCES["rate_after_one_kick"], RATE_TOLERANCES["rate_after_n_kicks"])
+         - 2 * _P10_ROUNDING / ONE_SIDED_STEP) / ONE_SIDED_STEP
+    ) ** 0.5,
+)
 
 
 class ConfigError(Exception):
@@ -250,7 +286,14 @@ def _check_size(config: ScenarioConfig) -> None:
     sweep's cell count is strengths x kick counts.  The longest free step
     (``T``, or ``tau`` for an interval sweep) times each rate of the pair
     Hamiltonian must be a finite angle, or the propagators would turn to NaN.
+    ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
+    finite-difference steps stop resolving the dynamics.
     """
+    if config.scenario == "rates" and config.coupling > RATES_MAX_COUPLING:
+        raise ValueError(
+            f"scenario 'rates' needs G <= {RATES_MAX_COUPLING:.6g}, got G = {config.coupling:g}: "
+            "past it the finite-difference error bound exceeds the checks' tolerances"
+        )
     if config.scenario == "sweep":
         cells = len(config.g_list) * len(config.n_list)
         if cells > MAX_SAMPLES:
@@ -350,24 +393,74 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
-    """CSV text: the header, then one ``row_format % row`` line per row.
+#: Rows formatted at a time.  A block's values are freed before the next
+#: block is formatted, so a table peaks at about twice its text.
+_CSV_BLOCK = 1 << 13
 
-    ``%.17g`` writes a float exactly as ``_fmt`` does; one template per table
-    keeps the work per row to a single formatting call.
+
+def _texts(values: np.ndarray) -> list[str]:
+    """Each value of a column, formatted: integers with ``%d``, floats with ``%.17g``."""
+    fmt = "%d" if values.dtype.kind in "iu" else "%.17g"
+    return list(map(fmt.__mod__, values.tolist()))
+
+
+def _repeated_texts(values: np.ndarray) -> list[str]:
+    """``_texts`` of a 64-bit column, formatting each distinct value once.
+
+    Values are told apart by their bits, so ``-0.0`` and ``0.0`` keep their
+    own texts.  Pays off for columns whose values repeat by construction.
     """
-    return "\n".join((header, *map(row_format.__mod__, rows))) + "\n"
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(_texts(keys.view(values.dtype)), dtype=object)
+    return texts[inverse].tolist()
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    columns = (traj.t, traj.p10, traj.p01, traj.pvac, traj.norm)
-    rows = zip(*(column.tolist() for column in columns))
-    return _csv("t,p10,p01,pvac,norm", "%.17g,%.17g,%.17g,%.17g,%.17g", rows)
+def _csv(header: str, columns: list[tuple[str, Sequence]]) -> str:
+    """CSV text: the header, then one line per row of ``columns``.
+
+    Each column is ``(fmt, values)``: ``"%s"`` for values that are texts
+    already, else the format of every value.  A block of rows is one ``%``
+    call on the line format repeated, so no text is made per value or row.
+    """
+    width, rows = len(columns), len(columns[0][1])
+    line = ",".join(fmt for fmt, _ in columns) + "\n"
+    blocks = [header + "\n"]
+    for lo in range(0, rows, _CSV_BLOCK):
+        hi = min(rows, lo + _CSV_BLOCK)
+        flat = [None] * (width * (hi - lo))
+        for j, (_, values) in enumerate(columns):
+            part = values[lo:hi]
+            flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        blocks.append(line * (hi - lo) % tuple(flat))
+    return "".join(blocks)
+
+
+def trajectory_csv(traj: Trajectory, t_texts: list[str] | None = None) -> str:
+    """One ``t,p10,p01,pvac,norm`` line per sample.
+
+    ``t_texts`` is ``traj.t`` already formatted, for a caller writing several
+    trajectories on one sample grid.
+    """
+    columns = [
+        ("%.17g", traj.t) if t_texts is None else ("%s", t_texts),
+        ("%.17g", traj.p10),
+        ("%.17g", traj.p01),
+        ("%s", _repeated_texts(traj.pvac)),
+        ("%s", _repeated_texts(traj.norm)),
+    ]
+    return _csv("t,p10,p01,pvac,norm", columns)
 
 
 def sweep_csv(cells: np.recarray) -> str:
     """One ``g,N,p10,p01,pvac`` line per record of an ``engine.sweep`` result."""
-    return _csv("g,N,p10,p01,pvac", "%.17g,%d,%.17g,%.17g,%.17g", cells.tolist())
+    columns = [
+        ("%s", _repeated_texts(cells["g"])),
+        ("%s", _repeated_texts(cells["n"])),
+        ("%.17g", cells["p10"]),
+        ("%.17g", cells["p01"]),
+        ("%.17g", cells["pvac"]),
+    ]
+    return _csv("g,N,p10,p01,pvac", columns)
 
 
 def _write(path: Path, text: str, note: str = "") -> None:
@@ -409,8 +502,12 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     # Every run finishes before the first write, so a refused run leaves no
     # files; then one CSV text at a time is formatted and written.
     trajectories = [_run_schedule(config, g) for _, g in outputs]
+    # The sample times come from the kick times and the grid, not from g, so
+    # several files share one formatted t column; a single file formats its
+    # own a block at a time, which holds less memory.
+    t_texts = _texts(trajectories[0].t) if len(trajectories) > 1 else None
     for (path, g), traj in zip(outputs, trajectories):
-        _write(path, trajectory_csv(traj), f" (g={_fmt(g)})")
+        _write(path, trajectory_csv(traj, t_texts), f" (g={_fmt(g)})")
     if gnuplot:
         clauses = [
             f"'{path.name}' every ::1 using 1:2 with lines title 'g={_fmt(g)}'"
@@ -501,14 +598,6 @@ def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     return 0 if status == "PASS" else 1
 
 
-RATE_TOLERANCES = {
-    "rate_free": 1e-8,
-    "rate_after_one_kick": 1e-4,
-    "rate_super_zeno": 1e-8,
-    "rate_after_n_kicks": 1e-4,
-}
-
-
 def rate_comparison_rows(params: SystemParams) -> list[tuple[str, float, float, float, float]]:
     """(check, t_or_N, analytic, numeric, abs_error) rows for every rate block."""
     rows: list[tuple[str, float, float, float, float]] = []
@@ -554,7 +643,9 @@ def cmd_rates(config: ScenarioConfig, gnuplot: bool = False) -> int:
     if not params.resonant:
         raise OffResonanceError("scenario 'rates' requires eps_a == eps_b")
     rows = rate_comparison_rows(params)
-    text = _csv("check,t_or_N,analytic,numeric,abs_error", "%s,%.17g,%.17g,%.17g,%.17g", rows)
+    checks, *numbers = zip(*rows)
+    columns = [("%s", checks), *(("%.17g", column) for column in numbers)]
+    text = _csv("check,t_or_N,analytic,numeric,abs_error", columns)
     _write(Path(config.out or "rates.csv"), text)
     failed = False
     for check, tolerance in RATE_TOLERANCES.items():

@@ -5,6 +5,10 @@ the benchmark.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +49,18 @@ def test_every_name_the_benchmark_reads_resolves(dotted):
     for part in dotted.split("."):
         obj = getattr(obj, part)
     assert obj is not None
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    # ``cli`` (and argparse) load on first use of ``zenokick.cli``.
+    src = str(Path(zenokick.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, zenokick\n"
+        "print(sorted({'argparse', 'zenokick.cli'} & set(sys.modules)))\n"
+        "print(zenokick.cli.main is sys.modules['zenokick.cli'].main)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")

@@ -13,7 +13,7 @@ import pytest
 
 import zenokick
 from zenokick import cli, engine
-from zenokick.core import ReducedState, Trajectory
+from zenokick.core import KickSchedule, ReducedState, Trajectory
 
 
 class TestParseNumber:
@@ -238,22 +238,75 @@ class TestCmdSweep:
 
 
 class TestCsvFormat:
-    EDGES = (-1e-13, 0.0, 5e-324, 1 - 2**-53, 1.0)
+    # -0.0 sits next to 0.0: a column that formats each distinct value once
+    # must still tell them apart.
+    EDGES = (-1e-13, 0.0, -0.0, 5e-324, 1 - 2**-53, 1.0)
 
-    def test_trajectory_floats_match_fstring_formatting(self):
-        column = np.array(self.EDGES)
-        traj = Trajectory(column, column, column, column, np.ones(len(column)))
-        rows = [",".join([f"{x:.17g}"] * 4 + [f"{1.0:.17g}"]) for x in self.EDGES]
-        assert cli.trajectory_csv(traj) == "\n".join(["t,p10,p01,pvac,norm", *rows]) + "\n"
+    @staticmethod
+    def fstring_csv(header, columns):
+        rows = [",".join(f"{x:.17g}" for x in row) for row in zip(*columns)]
+        return "\n".join([header, *rows]) + "\n"
 
-    def test_sweep_floats_match_fstring_formatting(self):
-        column = np.array(self.EDGES)
+    def test_trajectory_floats_match_fstring_formatting(self, monkeypatch):
+        # Every value appears twice in each column; a block of 4 rows splits
+        # the repeats of one value across blocks.
+        column = np.repeat(self.EDGES, 2)
+        norm = np.resize((1.0, 1 - 2**-53, 1 + 2**-52), len(column))
+        columns = (column, column, column[::-1], column, norm)
+        traj = Trajectory(*columns)
+        want = self.fstring_csv("t,p10,p01,pvac,norm", columns)
+        t_texts = [f"{x:.17g}" for x in column]
+        for block in (cli._CSV_BLOCK, 4):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            assert cli.trajectory_csv(traj) == want
+            assert cli.trajectory_csv(traj, t_texts) == want
+
+    def test_sweep_floats_match_fstring_formatting(self, monkeypatch):
+        column = np.repeat(self.EDGES, 2)
+        n = np.resize((0, 2**62, 3), len(column))
         table = np.rec.fromarrays(
-            (column, np.full(len(column), 3), column, column, column),
-            names=("g", "n", "p10", "p01", "pvac"),
+            (column[::-1], n, column, column, column), names=("g", "n", "p10", "p01", "pvac")
         )
-        rows = [f"{x:.17g},3,{x:.17g},{x:.17g},{x:.17g}" for x in self.EDGES]
-        assert cli.sweep_csv(table) == "\n".join(["g,N,p10,p01,pvac", *rows]) + "\n"
+        rows = [
+            f"{g:.17g},{k},{x:.17g},{x:.17g},{x:.17g}" for g, k, x in zip(column[::-1], n, column)
+        ]
+        want = "\n".join(["g,N,p10,p01,pvac", *rows]) + "\n"
+        for block in (cli._CSV_BLOCK, 4):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            assert cli.sweep_csv(table) == want
+
+    def test_rates_rows_match_fstring_formatting(self, tmp_path, monkeypatch, capsys):
+        # A string column beside float columns, -0.0 among the floats.
+        rows = [(check, x, x, -x, 0.0) for check in cli.RATE_TOLERANCES for x in self.EDGES]
+        monkeypatch.setattr(cli, "rate_comparison_rows", lambda params: rows)
+        out = tmp_path / "rates.csv"
+        assert cli.cmd_rates(cli.parse_config(f"scenario = rates\nout = {out}\n")) == 0
+        lines = [f"{c},{x:.17g},{a:.17g},{b:.17g},{e:.17g}" for c, x, a, b, e in rows]
+        header = "check,t_or_N,analytic,numeric,abs_error"
+        assert out.read_text() == "\n".join([header, *lines]) + "\n"
+
+    def test_run_files_match_fstring_formatting_of_the_engine(self, tmp_path, capsys):
+        # Kicks at 0.25 and 0.5 fall on grid points; the strengths include
+        # -0.0 and a mirror kick.
+        out = tmp_path / "traj.csv"
+        path = tmp_path / "traj.txt"
+        path.write_text(
+            "scenario = run\nT = 1\nt_kicks = 0.25, 0.5, 0.71\ng_list = 0, -0.0, pi/3, pi\n"
+            f"resolution = 40\nout = {out}\n"
+        )
+        assert cli.main([str(path)]) == 0
+        config = cli.parse_config(path.read_text())
+        trajectories = []
+        for i, g in enumerate(config.g_list):
+            schedule = KickSchedule(tuple((t, g) for t in config.kick_times), 1.0, 40.0)
+            traj = engine.run_schedule(schedule, config.params())
+            columns = (traj.t, traj.p10, traj.p01, traj.pvac, traj.norm)
+            written = (tmp_path / f"traj_g{i}.csv").read_text()
+            assert written == self.fstring_csv("t,p10,p01,pvac,norm", columns)
+            trajectories.append(traj)
+        # One formatted t column serves every strength of the run.
+        t_bits = trajectories[0].t.view(np.int64)
+        assert all(np.array_equal(traj.t.view(np.int64), t_bits) for traj in trajectories)
 
 
 class TestOracleCheck:
@@ -326,6 +379,27 @@ class TestCmdRates:
         path = tmp_path / "r.txt"
         path.write_text("scenario = rates\neps_a = 0.1\n")
         assert cli.main([str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "coupling, code",
+        [(3.0, 0), ("limit", 0), ("past the limit", 2), (10.0, 2), (1e200, 2)],
+    )
+    def test_coupling_limit(self, coupling, code, tmp_path, capsys):
+        # Past RATES_MAX_COUPLING the fixed finite-difference steps cannot meet
+        # the tolerances (G = 10 and up failed them): refused before any
+        # compute.  At the limit itself every check passes.
+        limit = cli.RATES_MAX_COUPLING
+        coupling = {"limit": limit, "past the limit": limit * (1 + 1e-12)}.get(coupling, coupling)
+        out = tmp_path / "rates.csv"
+        path = tmp_path / "r.txt"
+        path.write_text(f"scenario = rates\nG = {coupling!r}\nout = {out}\n")
+        assert cli.main([str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.count(" PASS") == len(cli.RATE_TOLERANCES)
+        else:
+            assert f"needs G <= {limit:.6g}" in captured.err
+            assert not out.exists()
 
 
 class TestMainPlumbing:
@@ -463,13 +537,14 @@ class TestMainPlumbing:
     def test_python_dash_m_runs_the_cli_without_warnings(self):
         src = str(Path(zenokick.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zenokick", "--list-presets"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.split() == sorted(cli.PRESETS)
-        assert proc.stderr == ""
+        for module in ("zenokick", "zenokick.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "--list-presets"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0
+            assert proc.stdout.split() == sorted(cli.PRESETS)
+            assert proc.stderr == ""
 
     def test_preset_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.csv"
