@@ -177,12 +177,8 @@ def check_populations(p10, p01, pvac, norm) -> None:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 
-def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
-    """Exact exp(-i H dt) on the (|1,0>, |0,1>) block, H = [[eps_a, c], [c, eps_b]].
-
-    Valid for any detuning; at eps_a == eps_b it reduces to the rotation
-    [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
-    """
+def _block_entries(dt: float, params: SystemParams) -> tuple[complex, complex, complex]:
+    """Entries (u00, u01 = u10, u11) of ``single_excitation_block`` as Python complex numbers."""
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     half_sum = 0.5 * (params.eps_a + params.eps_b)
@@ -191,13 +187,21 @@ def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
     c = math.cos(omega * dt)
     f = math.sin(omega * dt) / omega
     phase = cmath.exp(-1j * half_sum * dt)
-    return phase * np.array(
-        [
-            [c - 1j * half_diff * f, -1j * params.coupling * f],
-            [-1j * params.coupling * f, c + 1j * half_diff * f],
-        ],
-        dtype=np.complex128,
+    return (
+        phase * (c - 1j * half_diff * f),
+        phase * (-1j * params.coupling * f),
+        phase * (c + 1j * half_diff * f),
     )
+
+
+def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
+    """Exact exp(-i H dt) on the (|1,0>, |0,1>) block, H = [[eps_a, c], [c, eps_b]].
+
+    Valid for any detuning; at eps_a == eps_b it reduces to the rotation
+    [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
+    """
+    u00, u01, u11 = _block_entries(dt, params)
+    return np.array([[u00, u01], [u01, u11]], dtype=np.complex128)
 
 
 def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
@@ -228,18 +232,28 @@ def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
     return out
 
 
+def _free_step(a: complex, b: complex, dt: float, params: SystemParams) -> tuple[complex, complex]:
+    """(a, b) after ``single_excitation_block(dt)``, on plain scalars."""
+    u00, u01, u11 = _block_entries(dt, params)
+    return u00 * a + u01 * b, u01 * a + u11 * b
+
+
+def _kick(a: complex, b: complex, v: float, g: float) -> tuple[complex, complex, float]:
+    """(a, b, v) after a kick of strength g, on plain scalars; see ``apply_kick``."""
+    if not math.isfinite(g):
+        raise ValueError(f"kick strength must be finite, got {g}")
+    cg = math.cos(g)
+    sg = math.sin(g)
+    return a, b * cg, v + (b.real**2 + b.imag**2) * sg * sg
+
+
 def free_propagate(state: ReducedState, dt: float, params: SystemParams) -> ReducedState:
     """Evolve (a, b) by the closed-form block propagator; vacuum weight is frozen.
 
     |0,0> is an eigenstate of the pair Hamiltonian with eigenvalue 0, so ``v``
     is carried through unchanged.
     """
-    u = single_excitation_block(dt, params)
-    return ReducedState(
-        complex(u[0, 0] * state.a + u[0, 1] * state.b),
-        complex(u[1, 0] * state.a + u[1, 1] * state.b),
-        state.v,
-    )
+    return ReducedState(*_free_step(state.a, state.b, dt, params), state.v)
 
 
 def apply_kick(state: ReducedState, g: float) -> ReducedState:
@@ -250,12 +264,7 @@ def apply_kick(state: ReducedState, g: float) -> ReducedState:
     orthogonal and the vacuum does not evolve, which is why the leaked weight
     can be accumulated additively in the scalar ``v``.
     """
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
-    cg = math.cos(g)
-    sg = math.sin(g)
-    leak = (state.b.real**2 + state.b.imag**2) * sg * sg
-    return ReducedState(state.a, state.b * cg, state.v + leak)
+    return ReducedState(*_kick(state.a, state.b, state.v, g))
 
 
 def schedule_steps(schedule: KickSchedule) -> list[tuple]:
@@ -263,9 +272,9 @@ def schedule_steps(schedule: KickSchedule) -> list[tuple]:
 
     Sampling covers the uniform grid plus a pre- and a post-kick record at
     every kick time; a grid point that coincides with a kick is represented by
-    that pre/post pair.  The dense oracle executes this step list and
-    ``engine.run_schedule`` builds the same sample layout with numpy, which
-    makes their trajectories comparable sample by sample.
+    that pre/post pair.  ``engine.run_schedule`` and ``oracle.run_schedule``
+    each build this sample layout with numpy, which makes their trajectories
+    comparable sample by sample; the tests hold both to this list.
     """
     grid = schedule.sample_grid()
     n_grid = len(grid)

@@ -1,7 +1,7 @@
 """Reduced simulation path: two amplitudes and one leak accumulator per run.
 
-A sampled run folds the closed-form free propagator and the kick update over
-a ``ReducedState``, kick by kick, and keeps the state right after each kick
+A sampled run folds the closed-form free propagator and the kick update, kick
+by kick, over plain Python scalars, and keeps the state right after each kick
 as an anchor; leaked weight never re-enters the dynamics, so two complex
 amplitudes and one real accumulator are the entire state.  Every sample is
 then propagated from its anchor in one numpy call.  Equally spaced runs skip
@@ -22,10 +22,10 @@ from .core import (
     ReducedState,
     SystemParams,
     Trajectory,
-    apply_kick,
+    _free_step,
+    _kick,
     block_minus_identity,
     check_populations,
-    free_propagate,
 )
 
 __all__ = ["run_schedule", "final_state", "run_equally_spaced", "sweep"]
@@ -46,21 +46,22 @@ _PRE, _GRID, _POST = 0, 1, 2
 
 def _fold(
     kicks: Iterable[tuple[float, float]], total_time: float, params: SystemParams
-) -> Iterator[tuple[float, ReducedState]]:
-    """Yield (t, state right after the kick) for each kick, in order.
+) -> Iterator[tuple[float, complex, complex, float]]:
+    """Yield (t, a, b, v) right after each kick, in order, on plain scalars.
 
     Takes kick times as ``final_state`` does: non-decreasing, inside
-    [0, total_time]; a ValueError is raised otherwise.
+    [0, total_time]; a ValueError is raised otherwise.  The module-level
+    ``_free_step`` and ``_kick`` are looked up at every step.
     """
-    state, now = ReducedState(), 0.0
+    now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
     for t, g in kicks:
         if t < now or t > total_time:
             raise ValueError(f"kick time {t} outside [{now}, {total_time}]")
         if t > now:
-            state = free_propagate(state, t - now, params)
+            a, b = _free_step(a, b, t - now, params)
             now = t
-        state = apply_kick(state, g)
-        yield now, state
+        a, b, v = _kick(a, b, v, g)
+        yield now, a, b, v
 
 
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
@@ -77,12 +78,9 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     latest anchor at or before it in one vectorized call, so rounding grows
     with the number of kicks, not with the number of samples.
     """
-    anchors = [(0.0, ReducedState())]
+    anchors = [(0.0, 1.0 + 0.0j, 0.0j, 0.0)]
     anchors += _fold(schedule.kicks, schedule.total_time, params)
-    t_anchor = np.array([t for t, _ in anchors])
-    a_anchor = np.array([s.a for _, s in anchors], dtype=np.complex128)
-    b_anchor = np.array([s.b for _, s in anchors], dtype=np.complex128)
-    v_anchor = np.array([s.v for _, s in anchors])
+    t_anchor, a_anchor, b_anchor, v_anchor = (np.array(column) for column in zip(*anchors))
 
     kick_t = t_anchor[1:]
     grid = schedule.sample_grid()
@@ -94,7 +92,9 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     # A pre-kick record still belongs to the anchor before its kick.
     idx = np.searchsorted(kick_t, t, side="right") - (kind == _PRE)
 
-    u = block_minus_identity(t - t_anchor[idx], params) + _IDENTITY
+    u = block_minus_identity(t - t_anchor[idx], params)
+    u[0, 0] += 1.0
+    u[1, 1] += 1.0
     a0, b0 = a_anchor[idx], b_anchor[idx]
     a = u[0, 0] * a0 + u[0, 1] * b0
     b = u[1, 0] * a0 + u[1, 1] * b0
@@ -119,11 +119,12 @@ def final_state(
     """
     if not math.isfinite(total_time) or total_time < 0:
         raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
-    now, state = 0.0, ReducedState()
-    for now, state in _fold(kicks, total_time, params):
+    now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
+    for now, a, b, v in _fold(kicks, total_time, params):
         pass
     if total_time > now:
-        state = free_propagate(state, total_time - now, params)
+        a, b = _free_step(a, b, total_time - now, params)
+    state = ReducedState(a, b, v)
     check_populations(state.p10, state.p01, state.v, state.norm)
     return state
 

@@ -17,12 +17,15 @@ Working array
 -------------
 Every step works in place on a system-major view of the amplitudes,
 ``phi[s, m] = amps[(m << 2) | s]`` with shape ``(4, 2**n)``: a free step
-updates rows 1 and 2 (and the phase of row 3), a kick on probe k rotates
-slices of ``phi.reshape(4, 2**(n-k-1), 2, 2**k)``, and the populations are
-row sums of ``|phi|**2``.  ``run_schedule`` copies the initial state into one
-contiguous working array and allocates one scratch buffer, once per run; the
-public ``free_step``, ``kick`` and ``FullState.populations`` copy the state,
-run the same kernel on the copy and return fresh values.
+updates rows 1 and 2 (and the phase of row 3) with the block entries as
+scalars, and a kick on probe k rotates both of its row pairs at once, as two
+``(2, 2**(n-k-1), 2**k)`` slices of ``phi.reshape(4, 2**(n-k-1), 2, 2**k)``.
+The populations are the row sums of ``|phi|**2``, read in one pass over the
+float view without writing a squared copy.  ``run_schedule`` copies the
+initial state into one contiguous working array and allocates one scratch
+buffer of ``phi.size // 2`` slots, once per run; the public ``free_step``,
+``kick`` and ``FullState.populations`` copy the state, run the same kernel on
+the copy and return fresh values.
 
 Sampling a run
 --------------
@@ -38,7 +41,9 @@ sample at time t after the anchor's time t0 is the quadratic form of
 with row 1 of u, and ``Pvac = p00``.  Every dense step still updates all
 ``4 * 2**n`` amplitudes, once per kick; the samples cost only vector
 arithmetic, and each is one closed-form step from its anchor, so rounding
-does not grow with the number of samples.
+does not grow with the number of samples.  The sample times and the anchor
+that owns each sample come from ``KickSchedule.sample_grid`` and the kick
+times by ``searchsorted``, in the layout ``core.schedule_steps`` lists.
 
 Each product is computed as the out-of-place expression ``u[i, j] * x`` or
 ``cos g * x - (i sin g) * y`` would compute it, in that operand order and
@@ -60,9 +65,8 @@ from .core import (
     KickSchedule,
     SystemParams,
     Trajectory,
+    _block_entries,
     block_minus_identity,
-    schedule_steps,
-    single_excitation_block,
 )
 
 __all__ = [
@@ -75,7 +79,6 @@ __all__ = [
 ]
 
 MAX_PROBES = 20
-_IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -100,45 +103,45 @@ class FullState:
 
     def populations(self) -> tuple[float, float, float]:
         """(P10, P01, Pvac): weight summed over all probe configurations."""
-        phi = self.amps.reshape(-1, 4).T.copy()
-        p00, p01, p10, _ = _populations(phi, np.empty(phi.size, dtype=np.complex128))
+        p00, p01, p10, _ = _populations(self.amps.reshape(-1, 4).T.copy())
         return p10, p01, p00
 
 
-def _populations(phi: np.ndarray, scratch: np.ndarray) -> list[float]:
+def _populations(phi: np.ndarray) -> list[float]:
     """Weight of each system state s, summed over the probes: row sums of |phi|^2.
 
     ``phi`` must be contiguous; its rows are read as interleaved (re, im)
-    pairs and squared into ``scratch``, which needs ``phi.size`` complex slots.
+    pairs and summed as squares in one read-only pass.  A BLAS dot would do
+    the same sum, but OpenBLAS can stall for milliseconds starting its threads.
     """
-    w = scratch.view(np.float64).reshape(4, -1)
-    np.square(phi.view(np.float64), out=w)
-    return w.sum(axis=1).tolist()
+    w = phi.view(np.float64)
+    return np.einsum("ij,ij->i", w, w).tolist()
 
 
 def _free_step_in_place(
     phi: np.ndarray, dt: float, params: SystemParams, scratch: np.ndarray
 ) -> None:
     """exp(-i H_pair dt) on a system-major array; ``scratch`` needs phi.size / 2 slots."""
-    u = single_excitation_block(dt, params)  # validates dt
+    u00, u01, u11 = _block_entries(dt, params)  # validates dt
     x01, x10 = phi[1], phi[2]
     t1, t2 = scratch[: x10.size], scratch[x10.size : 2 * x10.size]
-    np.multiply(u[0, 0], x10, out=t1)
-    np.multiply(u[0, 1], x01, out=t2)
+    np.multiply(u00, x10, out=t1)
+    np.multiply(u01, x01, out=t2)
     np.add(t1, t2, out=t1)
-    np.multiply(u[1, 0], x10, out=t2)
+    np.multiply(u01, x10, out=t2)
     x10[...] = t1
-    np.multiply(u[1, 1], x01, out=t1)
+    np.multiply(u11, x01, out=t1)
     np.add(t2, t1, out=x01)
     np.multiply(phi[3], cmath.exp(-1j * (params.eps_a + params.eps_b) * dt), out=phi[3])
 
 
 def _kick_in_place(phi: np.ndarray, probe_index: int, g: float, scratch: np.ndarray) -> None:
-    """Kick rotation on a system-major array; ``scratch`` needs phi.size / 4 slots.
+    """Kick rotation on a system-major array; ``scratch`` needs phi.size / 2 slots.
 
     With ``quad = phi.reshape(4, 2**(n-k-1), 2, 2**k)`` the probe-k bit is
     axis 2, so (b=1, probe=0) is ``quad[s | 1, :, 0]`` and its partner
-    (b=0, probe=1) is ``quad[s, :, 1]`` for each a-bit row pair s in {0, 2}.
+    (b=0, probe=1) is ``quad[s, :, 1]`` for each a-bit row pair s in {0, 2};
+    ``quad[1::2, :, 0]`` and ``quad[0::2, :, 1]`` hold both pairs at once.
     """
     if not math.isfinite(g):
         raise ValueError(f"kick strength must be finite, got {g}")
@@ -149,19 +152,18 @@ def _kick_in_place(phi: np.ndarray, probe_index: int, g: float, scratch: np.ndar
     isg = 1j * math.sin(g)
     shape = (4, 2 ** (n_probes - probe_index - 1), 2, 2**probe_index)
     quad = phi.reshape(shape)  # splitting one axis never copies, so writes land in phi
-    half = phi.shape[1] // 2
-    t1 = scratch[:half].reshape(shape[1], shape[3])
-    t2 = scratch[half : 2 * half].reshape(shape[1], shape[3])
-    for s_b1, s_b0 in ((1, 0), (3, 2)):
-        x = quad[s_b1, :, 0]  # b excited, probe ground
-        y = quad[s_b0, :, 1]  # b ground, probe excited
-        np.multiply(cg, x, out=t1)
-        np.multiply(isg, y, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(cg, y, out=t2)
-        np.multiply(isg, x, out=y)
-        np.subtract(t2, y, out=y)
-        x[...] = t1
+    x = quad[1::2, :, 0]  # b excited, probe ground
+    y = quad[0::2, :, 1]  # b ground, probe excited
+    size = phi.shape[1]
+    t1 = scratch[:size].reshape(x.shape)
+    t2 = scratch[size : 2 * size].reshape(x.shape)
+    np.multiply(cg, x, out=t1)
+    np.multiply(isg, y, out=t2)
+    np.subtract(t1, t2, out=t1)
+    np.multiply(cg, y, out=t2)
+    np.multiply(isg, x, out=y)
+    np.subtract(t2, y, out=y)
+    x[...] = t1
 
 
 def initial_state(n_probes: int) -> FullState:
@@ -195,7 +197,7 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     unitary and exactly the identity where the exchange generator vanishes.
     """
     psi = state.amps.reshape(-1, 4).copy()
-    _kick_in_place(psi.T, probe_index, g, np.empty(psi.size // 4, dtype=np.complex128))
+    _kick_in_place(psi.T, probe_index, g, np.empty(psi.size // 2, dtype=np.complex128))
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -212,34 +214,43 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
             f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
         )
     phi = initial_state(len(schedule.kicks)).amps.reshape(-1, 4).T.copy()
-    scratch = np.empty(phi.size, dtype=np.complex128)
+    scratch = np.empty(phi.size // 2, dtype=np.complex128)
     t_anchor: list[float] = []
     pops: list[list[float]] = []  # per anchor: p00, p01 = B, p10 = A, p11
     cross: list[complex] = []  # per anchor: C = sum of x10 conj(x01)
 
     def anchor(t: float) -> None:
         t_anchor.append(t)
-        pops.append(_populations(phi, scratch))
+        pops.append(_populations(phi))
         cross.append(np.vdot(phi[1], phi[2]))
 
     anchor(0.0)
-    times: list[float] = []
-    owner: list[int] = []
-    for step in schedule_steps(schedule):  # an "advance" step does no dense work
-        if step[0] == "sample":
-            times.append(step[1])
-            owner.append(len(t_anchor) - 1)
-        elif step[0] == "kick":
-            t_kick = times[-1]  # the pre-kick record, taken at the kick instant
-            if t_kick > t_anchor[-1]:
-                _free_step_in_place(phi, t_kick - t_anchor[-1], params, scratch)
-            _kick_in_place(phi, step[1], step[2], scratch)
-            anchor(t_kick)
-    t = np.array(times)
-    idx = np.array(owner)
+    for index, (t_kick, g) in enumerate(schedule.kicks):
+        if t_kick > t_anchor[-1]:
+            _free_step_in_place(phi, t_kick - t_anchor[-1], params, scratch)
+        _kick_in_place(phi, index, g, scratch)
+        anchor(t_kick)
+
+    # Grid points on a kick time are dropped: that kick's pre/post pair stands for them.
+    kick_t = np.array(t_anchor[1:])
+    grid = schedule.sample_grid()
+    before = np.searchsorted(kick_t, grid, side="right")  # kicks at or before each point
+    keep = np.searchsorted(kick_t, grid, side="left") == before
+    grid, before = grid[keep], before[keep]
+    # Each record is preceded by every earlier grid point and two records per earlier kick.
+    kicks = np.arange(len(kick_t))
+    at_grid = np.arange(len(grid)) + 2 * before
+    at_pre = np.searchsorted(grid, kick_t) + 2 * kicks
+    t = np.empty(len(grid) + 2 * len(kick_t))
+    idx = np.empty(len(t), dtype=np.intp)
+    t[at_grid], idx[at_grid] = grid, before
+    t[at_pre], idx[at_pre] = kick_t, kicks
+    t[at_pre + 1], idx[at_pre + 1] = kick_t, kicks + 1
     p00, w01, w10, p11 = np.array(pops)[idx].T
     c = np.array(cross)[idx]
-    u = block_minus_identity(t - np.array(t_anchor)[idx], params) + _IDENTITY
+    u = block_minus_identity(t - np.array(t_anchor)[idx], params)
+    u[0, 0] += 1.0
+    u[1, 1] += 1.0
 
     def weight(row: int) -> np.ndarray:
         """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""

@@ -13,7 +13,7 @@ import pytest
 
 import zenokick
 from zenokick import cli, engine
-from zenokick.core import KickSchedule, ReducedState, Trajectory
+from zenokick.core import KickSchedule, Trajectory
 
 
 class TestParseNumber:
@@ -339,13 +339,12 @@ class TestOracleCheck:
         assert "warning" in captured.err
 
     def test_corrupted_kick_fails(self, tmp_path, capsys, monkeypatch):
-        def kick_the_wrong_amplitude(state, g):
+        def kick_the_wrong_amplitude(a, b, v, g):
             cg, sg = math.cos(g), math.sin(g)
-            leak = (state.a.real**2 + state.a.imag**2) * sg * sg
-            return ReducedState(state.a * cg, state.b, state.v + leak)
+            return a * cg, b, v + (a.real**2 + a.imag**2) * sg * sg
 
         config, _ = self.config(tmp_path)
-        monkeypatch.setattr(engine, "apply_kick", kick_the_wrong_amplitude)
+        monkeypatch.setattr(engine, "_kick", kick_the_wrong_amplitude)
         assert cli.cmd_oracle_check(config) == 1
         assert "status=FAIL" in capsys.readouterr().out
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zenokick import engine, oracle
-from zenokick.core import KickSchedule, ReducedState, SystemParams, schedule_steps
+from zenokick.core import KickSchedule, SystemParams, schedule_steps
 
 RESONANT = SystemParams()
 DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
@@ -126,11 +126,18 @@ class TestFinalState:
         with pytest.raises(ValueError):
             engine.final_state(((0.5, 1.0),), 0.4, RESONANT)
 
-    def test_leaky_kick_fails_the_norm_guard(self, monkeypatch):
-        def leaky_kick(state, g):
-            return ReducedState(state.a, state.b * math.cos(g), state.v + 1e-9)
+    def test_fold_drift_stays_inside_the_guard_at_a_million_kicks(self):
+        # The drift grows with the number of 2x2 steps: about 4e-11 here.
+        n, total_time, g = 10**6, math.pi / 2, math.pi / 2
+        times = np.linspace(0.0, total_time, n + 1)[1:].tolist()
+        state = engine.final_state(zip(times, [g] * n), total_time, RESONANT)
+        assert abs(state.norm - 1.0) < 1e-10
 
-        monkeypatch.setattr(engine, "apply_kick", leaky_kick)
+    def test_leaky_kick_fails_the_norm_guard(self, monkeypatch):
+        def leaky_kick(a, b, v, g):
+            return a, b * math.cos(g), v + 1e-9
+
+        monkeypatch.setattr(engine, "_kick", leaky_kick)
         with pytest.raises(ValueError, match="drifted"):
             engine.final_state(((0.5, 1.0),), 1.0, RESONANT)
 
@@ -288,13 +295,12 @@ class TestLargeKickCounts:
 
 
 def test_mutation_hook_changes_the_answer(monkeypatch):
-    def broken_kick(state, g):
+    def broken_kick(a, b, v, g):
         cg, sg = math.cos(g), math.sin(g)
-        leak = (state.a.real**2 + state.a.imag**2) * sg * sg
-        return ReducedState(state.a * cg, state.b, state.v + leak)
+        return a * cg, b, v + (a.real**2 + a.imag**2) * sg * sg
 
     schedule = KickSchedule(((0.5, 1.2),), 1.0, sample_resolution=10.0)
     good = engine.run_schedule(schedule, RESONANT)
-    monkeypatch.setattr(engine, "apply_kick", broken_kick)
+    monkeypatch.setattr(engine, "_kick", broken_kick)
     bad = engine.run_schedule(schedule, RESONANT)
     assert np.max(np.abs(good.p10 - bad.p10)) > 1e-3
