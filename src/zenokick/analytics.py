@@ -119,9 +119,13 @@ def survival_function(
     Each evaluation runs the reduced path fresh, applying the kicks with time
     <= t (ties included; P10 is continuous at kick instants so the boundary
     choice is invisible).  Repeated kick times mean back-to-back kicks.
+    A non-finite kick time or strength raises ValueError here, not at the
+    first evaluation.
     """
     p = params or SystemParams()
     sequence = tuple(sorted(((float(t), float(g)) for t, g in kicks), key=lambda k: k[0]))
+    if not all(math.isfinite(t) and math.isfinite(g) for t, g in sequence):
+        raise ValueError("kick times and strengths must be finite")
 
     def p10(t: float) -> float:
         if not math.isfinite(t) or t < 0:

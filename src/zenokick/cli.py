@@ -67,6 +67,10 @@ ORACLE_CHECK_TOLERANCE = 1e-10
 ORACLE_CHECK_MAX_KICKS = 10
 #: kick counts an ``oracle-check`` draws from when ``N_list`` is not given
 ORACLE_CHECK_KICK_COUNTS = tuple(range(9))
+#: Draws of one trial's kick times before the check gives up on distinct
+#: times.  Only a T with fewer than about ``N_list`` doubles below it needs
+#: a second draw with any real chance.
+_KICK_TIME_DRAWS = 100
 MAX_LIST_ENTRIES = 10**6
 #: Samples a ``run`` or ``oracle-check`` scenario may take, and cells a
 #: ``sweep`` may hold, in all.  A sample or a cell is one written row, and
@@ -550,7 +554,9 @@ def oracle_engine_deviation(
 
     Each trial draws a kick count from ``n_choices``, sorts uniform kick times
     in [0, total_time] and draws each strength uniformly in [0, 2 pi], then
-    compares P10, P01 and Pvac pointwise on the shared sample grid.
+    compares P10, P01 and Pvac pointwise on the shared sample grid.  Kick
+    times are redrawn until they are distinct; a ValueError is raised if
+    ``_KICK_TIME_DRAWS`` draws never give distinct times.
     """
     if max(n_choices, default=0) > ORACLE_CHECK_MAX_KICKS:
         raise CapacityError(
@@ -565,10 +571,12 @@ def oracle_engine_deviation(
     worst = 0.0
     for _ in range(trials):
         n = int(rng.choice(n_choices)) if n_choices else 0
-        while True:
+        for _ in range(_KICK_TIME_DRAWS):
             times = np.sort(rng.uniform(0.0, total_time, n))
             if n == 0 or np.all(np.diff(times) > 0):
                 break
+        else:
+            raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
         strengths = rng.uniform(0.0, 2.0 * math.pi, n)
         schedule = KickSchedule(tuple(zip(times, strengths)), total_time, per_unit)
         reduced = engine.run_schedule(schedule, params)

@@ -270,11 +270,8 @@ def apply_kick(state: ReducedState, g: float) -> ReducedState:
 def schedule_steps(schedule: KickSchedule) -> list[tuple]:
     """Flatten a schedule into ("advance", dt) / ("sample", t) / ("kick", k, g) steps.
 
-    Sampling covers the uniform grid plus a pre- and a post-kick record at
-    every kick time; a grid point that coincides with a kick is represented by
-    that pre/post pair.  ``engine.run_schedule`` and ``oracle.run_schedule``
-    each build this sample layout with numpy, which makes their trajectories
-    comparable sample by sample; the tests hold both to this list.
+    A step-by-step reference for the sample layout that ``_sample_blocks``
+    builds with numpy for both sampled runs; the tests hold it to this list.
     """
     grid = schedule.sample_grid()
     n_grid = len(grid)
@@ -304,3 +301,41 @@ def schedule_steps(schedule: KickSchedule) -> list[tuple]:
         steps.append(("sample", now))
         gi += 1
     return steps
+
+
+def _sample_blocks(
+    schedule: KickSchedule, params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample times, their anchors and the free blocks from anchor to sample.
+
+    The samples are the uniform ``sample_grid`` plus a pre- and a post-kick
+    record at every kick time, in time order; a grid point that coincides
+    with a kick is represented by that pair, so sample times are only
+    non-decreasing.  Anchor k is the state right after the first k kicks, at
+    time 0 for k = 0 and at kick k's time otherwise; ``idx`` holds the anchor
+    of each sample, the number of kicks applied before it, so a pre-kick
+    record still belongs to the anchor before its kick.  ``u[:, :, i]`` is
+    ``single_excitation_block`` over the time from sample i's anchor to it,
+    built from ``block_minus_identity``.  ``engine.run_schedule`` and
+    ``oracle.run_schedule`` both sample this way, which makes their
+    trajectories comparable sample by sample; ``schedule_steps`` lists the
+    same layout step by step.
+    """
+    kick_t = np.array([t for t, _ in schedule.kicks], dtype=float) + 0.0  # -0.0 becomes 0.0
+    grid = schedule.sample_grid()
+    before = np.searchsorted(kick_t, grid, side="right")  # kicks at or before each point
+    keep = np.searchsorted(kick_t, grid, side="left") == before
+    grid, before = grid[keep], before[keep]
+    # Each record is preceded by every earlier grid point and two records per earlier kick.
+    kicks = np.arange(len(kick_t))
+    at_grid = np.arange(len(grid)) + 2 * before
+    at_pre = np.searchsorted(grid, kick_t) + 2 * kicks
+    t = np.empty(len(grid) + 2 * len(kick_t))
+    idx = np.empty(len(t), dtype=np.intp)
+    t[at_grid], idx[at_grid] = grid, before
+    t[at_pre], idx[at_pre] = kick_t, kicks
+    t[at_pre + 1], idx[at_pre + 1] = kick_t, kicks + 1
+    u = block_minus_identity(t - np.concatenate(([0.0], kick_t))[idx], params)
+    u[0, 0] += 1.0
+    u[1, 1] += 1.0
+    return t, idx, u

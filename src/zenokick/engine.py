@@ -24,6 +24,7 @@ from .core import (
     Trajectory,
     _free_step,
     _kick,
+    _sample_blocks,
     block_minus_identity,
     check_populations,
 )
@@ -40,8 +41,6 @@ _CELL = np.dtype(
      ("pvac", np.float64)]
 )
 _IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
-#: sample kinds, in the order records at one instant are taken
-_PRE, _GRID, _POST = 0, 1, 2
 
 
 def _fold(
@@ -55,7 +54,7 @@ def _fold(
     """
     now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
     for t, g in kicks:
-        if t < now or t > total_time:
+        if not now <= t <= total_time:
             raise ValueError(f"kick time {t} outside [{now}, {total_time}]")
         if t > now:
             a, b = _free_step(a, b, t - now, params)
@@ -67,34 +66,20 @@ def _fold(
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """Run a kick schedule and sample populations along the way.
 
-    Samples land on the uniform grid plus both one-sided records at each kick
-    instant (P10 is continuous there, P01 generally is not); a grid point on
-    a kick time is represented by that pair, so consumers must not assume
-    strictly increasing sample times.  The layout is the one
-    ``core.schedule_steps`` lists.
+    The samples are laid out as ``core._sample_blocks`` describes: the
+    uniform grid plus both one-sided records at each kick instant (P10 is
+    continuous there, P01 generally is not), so consumers must not assume
+    strictly increasing sample times.
 
     The kicks are folded one by one into anchors, the initial state and the
-    state right after each kick.  Every sample is then propagated from the
-    latest anchor at or before it in one vectorized call, so rounding grows
-    with the number of kicks, not with the number of samples.
+    state right after each kick.  Every sample is then propagated from its
+    anchor in one vectorized call, so rounding grows with the number of
+    kicks, not with the number of samples.
     """
     anchors = [(0.0, 1.0 + 0.0j, 0.0j, 0.0)]
     anchors += _fold(schedule.kicks, schedule.total_time, params)
-    t_anchor, a_anchor, b_anchor, v_anchor = (np.array(column) for column in zip(*anchors))
-
-    kick_t = t_anchor[1:]
-    grid = schedule.sample_grid()
-    grid = grid[~np.isin(grid, kick_t)]
-    t = np.concatenate((grid, kick_t, kick_t))
-    kind = np.repeat([_GRID, _PRE, _POST], [len(grid), len(kick_t), len(kick_t)])
-    order = np.lexsort((kind, t))
-    t, kind = t[order], kind[order]
-    # A pre-kick record still belongs to the anchor before its kick.
-    idx = np.searchsorted(kick_t, t, side="right") - (kind == _PRE)
-
-    u = block_minus_identity(t - t_anchor[idx], params)
-    u[0, 0] += 1.0
-    u[1, 1] += 1.0
+    _, a_anchor, b_anchor, v_anchor = (np.array(column) for column in zip(*anchors))
+    t, idx, u = _sample_blocks(schedule, params)
     a0, b0 = a_anchor[idx], b_anchor[idx]
     a = u[0, 0] * a0 + u[0, 1] * b0
     b = u[1, 0] * a0 + u[1, 1] * b0

@@ -41,9 +41,9 @@ sample at time t after the anchor's time t0 is the quadratic form of
 with row 1 of u, and ``Pvac = p00``.  Every dense step still updates all
 ``4 * 2**n`` amplitudes, once per kick; the samples cost only vector
 arithmetic, and each is one closed-form step from its anchor, so rounding
-does not grow with the number of samples.  The sample times and the anchor
-that owns each sample come from ``KickSchedule.sample_grid`` and the kick
-times by ``searchsorted``, in the layout ``core.schedule_steps`` lists.
+does not grow with the number of samples.  The sample times, the anchor
+that owns each sample and each sample's block u come from
+``core._sample_blocks``, which describes the layout.
 
 Each product is computed as the out-of-place expression ``u[i, j] * x`` or
 ``cos g * x - (i sin g) * y`` would compute it, in that operand order and
@@ -66,7 +66,7 @@ from .core import (
     SystemParams,
     Trajectory,
     _block_entries,
-    block_minus_identity,
+    _sample_blocks,
 )
 
 __all__ = [
@@ -215,42 +215,20 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
         )
     phi = initial_state(len(schedule.kicks)).amps.reshape(-1, 4).T.copy()
     scratch = np.empty(phi.size // 2, dtype=np.complex128)
-    t_anchor: list[float] = []
-    pops: list[list[float]] = []  # per anchor: p00, p01 = B, p10 = A, p11
-    cross: list[complex] = []  # per anchor: C = sum of x10 conj(x01)
-
-    def anchor(t: float) -> None:
-        t_anchor.append(t)
+    pops = [_populations(phi)]  # per anchor: p00, p01 = B, p10 = A, p11
+    cross = [np.vdot(phi[1], phi[2])]  # per anchor: C = sum of x10 conj(x01)
+    now = 0.0
+    for index, (t_kick, g) in enumerate(schedule.kicks):
+        if t_kick > now:
+            _free_step_in_place(phi, t_kick - now, params, scratch)
+            now = t_kick
+        _kick_in_place(phi, index, g, scratch)
         pops.append(_populations(phi))
         cross.append(np.vdot(phi[1], phi[2]))
 
-    anchor(0.0)
-    for index, (t_kick, g) in enumerate(schedule.kicks):
-        if t_kick > t_anchor[-1]:
-            _free_step_in_place(phi, t_kick - t_anchor[-1], params, scratch)
-        _kick_in_place(phi, index, g, scratch)
-        anchor(t_kick)
-
-    # Grid points on a kick time are dropped: that kick's pre/post pair stands for them.
-    kick_t = np.array(t_anchor[1:])
-    grid = schedule.sample_grid()
-    before = np.searchsorted(kick_t, grid, side="right")  # kicks at or before each point
-    keep = np.searchsorted(kick_t, grid, side="left") == before
-    grid, before = grid[keep], before[keep]
-    # Each record is preceded by every earlier grid point and two records per earlier kick.
-    kicks = np.arange(len(kick_t))
-    at_grid = np.arange(len(grid)) + 2 * before
-    at_pre = np.searchsorted(grid, kick_t) + 2 * kicks
-    t = np.empty(len(grid) + 2 * len(kick_t))
-    idx = np.empty(len(t), dtype=np.intp)
-    t[at_grid], idx[at_grid] = grid, before
-    t[at_pre], idx[at_pre] = kick_t, kicks
-    t[at_pre + 1], idx[at_pre + 1] = kick_t, kicks + 1
+    t, idx, u = _sample_blocks(schedule, params)
     p00, w01, w10, p11 = np.array(pops)[idx].T
     c = np.array(cross)[idx]
-    u = block_minus_identity(t - np.array(t_anchor)[idx], params)
-    u[0, 0] += 1.0
-    u[1, 1] += 1.0
 
     def weight(row: int) -> np.ndarray:
         """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""

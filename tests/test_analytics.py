@@ -157,6 +157,20 @@ class TestSurvivalFunction:
         with pytest.raises(ValueError):
             p10(-0.1)
 
+    @pytest.mark.parametrize(
+        "kicks",
+        [
+            ((math.nan, math.pi / 2),),  # was dropped: p10(0.5) gave cos(0.5)**2
+            ((0.7, 1.0), (math.nan, 1.0), (0.2, 1.0)),  # broke the sort, blamed 0.2
+            ((math.inf, 1.0),),
+            ((0.5, math.nan),),
+            ((0.5, -math.inf),),
+        ],
+    )
+    def test_rejects_non_finite_kicks_when_built(self, kicks):
+        with pytest.raises(ValueError, match="finite"):
+            analytics.survival_function(kicks, RESONANT)
+
 
 class TestZenoLoss:
     @pytest.mark.parametrize("coupling", [1.0, 2.0])

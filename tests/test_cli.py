@@ -348,6 +348,19 @@ class TestOracleCheck:
         assert cli.cmd_oracle_check(config) == 1
         assert "status=FAIL" in capsys.readouterr().out
 
+    def test_kick_times_that_cannot_be_distinct_are_refused(self, tmp_path, capsys):
+        # Only four doubles lie in [0, T]: ten distinct kick times do not exist,
+        # and redrawing until they are would never end.
+        out = tmp_path / "report.txt"
+        path = tmp_path / "tiny.txt"
+        path.write_text(
+            "scenario = oracle-check\nT = 1.5e-323\nN_list = 10\ntrials = 1\n"
+            f"resolution = 0\nout = {out}\n"
+        )
+        assert cli.main([str(path)]) == 2
+        assert "could not draw 10 distinct kick times" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_many_kicks_is_a_capacity_error(self, tmp_path):
         config, _ = self.config(tmp_path, n="11")
         from zenokick.core import CapacityError

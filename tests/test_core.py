@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from test_engine import SAMPLER_CASES, sampler_schedule
 
 from zenokick.core import (
     KickSchedule,
@@ -17,6 +18,7 @@ from zenokick.core import (
     block_minus_identity,
     check_populations,
     free_propagate,
+    _sample_blocks,
     schedule_steps,
     single_excitation_block,
 )
@@ -240,6 +242,39 @@ class TestScheduleSteps:
         assert steps[-1] == ("sample", 1.0)
         assert steps[-2] == ("kick", 1, 2.0)
         assert self.advance_total(steps) == pytest.approx(1.0, abs=1e-15)
+
+
+SAMPLE_BLOCK_CASES = [
+    *(
+        pytest.param(sampler_schedule(case, seed), id=f"{case}-{seed}")
+        for case, seed in SAMPLER_CASES
+    ),
+    pytest.param(KickSchedule((), 0.0), id="T=0"),
+    pytest.param(KickSchedule(((0.0, 1.0),), 0.0), id="T=0-kick"),
+    pytest.param(KickSchedule(((0.0, 1.0), (1.0, 2.0)), 1.0, 4.0), id="kicks-at-0-and-T"),
+    pytest.param(KickSchedule(((-0.0, 1.0),), 1.0, 4.0), id="kick-at-minus-0"),
+    pytest.param(
+        KickSchedule(((0.0, 1.0), (0.5, 2.0), (1.0, 3.0)), 1.0, 0.0), id="no-grid-0-and-T"
+    ),
+]
+
+
+@pytest.mark.parametrize("schedule", SAMPLE_BLOCK_CASES)
+def test_sample_blocks_follow_the_step_list(schedule):
+    t, idx, u = _sample_blocks(schedule, RESONANT)
+    samples, anchors, kicks = [], [], 0
+    for step in schedule_steps(schedule):
+        if step[0] == "kick":
+            kicks += 1
+        elif step[0] == "sample":
+            samples.append(step[1])
+            anchors.append(kicks)
+    assert t.tobytes() == np.array(samples).tobytes()
+    np.testing.assert_array_equal(idx, anchors)
+    anchor_t = np.array([0.0, *(t_kick for t_kick, _ in schedule.kicks)])
+    for i in range(len(t)):
+        block = single_excitation_block(t[i] - anchor_t[idx[i]], RESONANT)
+        np.testing.assert_allclose(u[:, :, i], block, rtol=0, atol=1e-15)
 
 
 class TestStateAndTrajectoryValidation:

@@ -125,6 +125,10 @@ class TestFinalState:
             engine.final_state(((0.5, 1.0), (0.4, 1.0)), 1.0, RESONANT)
         with pytest.raises(ValueError):
             engine.final_state(((0.5, 1.0),), 0.4, RESONANT)
+        # NaN fails every comparison: a NaN time used to fold as a kick at t = 0.
+        for kicks in (((math.nan, math.pi / 2),), ((0.2, 1.0), (math.nan, 1.0))):
+            with pytest.raises(ValueError):
+                engine.final_state(kicks, 1.0, RESONANT)
 
     def test_fold_drift_stays_inside_the_guard_at_a_million_kicks(self):
         # The drift grows with the number of 2x2 steps: about 4e-11 here.
