@@ -1,9 +1,9 @@
 """Dense state-vector simulation over (two qubits) x (N probe qubits).
 
 This path keeps every amplitude of the joint system and exists to be trusted,
-not to be fast: no sparsity, closed-form blocks only, capacity capped at 20
-probes (4 * 2**20 amplitudes).  It is the ground truth the reduced engine is
-validated against.
+not to be fast: no reduction to the excitation subspace, closed-form blocks
+only, capacity capped at 20 probes (4 * 2**20 amplitudes).  It is the ground
+truth the reduced engine is validated against.
 
 Basis ordering
 --------------
@@ -21,11 +21,15 @@ updates rows 1 and 2 (and the phase of row 3) with the block entries as
 scalars, and a kick on probe k rotates both of its row pairs at once, as two
 ``(2, 2**(n-k-1), 2**k)`` slices of ``phi.reshape(4, 2**(n-k-1), 2, 2**k)``.
 The populations are the row sums of ``|phi|**2``, read in one pass over the
-float view without writing a squared copy.  ``run_schedule`` copies the
-initial state into one contiguous working array and allocates one scratch
-buffer of ``phi.size // 2`` slots, once per run; the public ``free_step``,
-``kick`` and ``FullState.populations`` copy the state, run the same kernel on
-the copy and return fresh values.
+float view without writing a squared copy.  The kernels take any view whose
+rows are contiguous, so they also run on a column prefix ``phi[:, :2**j]``,
+which holds every probe state with no probe at or above j excited: its rows
+keep the full row stride, and splitting one axis of it still never copies.
+
+``run_schedule`` allocates one zeroed ``(4, 2**n)`` working array and one
+scratch buffer of ``phi.size // 2`` slots, once per run; the public
+``free_step``, ``kick`` and ``FullState.populations`` copy the state, run the
+same kernel on the copy and return fresh values.
 
 Sampling a run
 --------------
@@ -38,18 +42,29 @@ coherence ``C = sum x10 conj(x01)``, each summed over all probe states.  A
 sample at time t after the anchor's time t0 is the quadratic form of
 ``u = exp(-i H (t - t0))`` on that block,
 ``P10 = |u00|**2 A + |u01|**2 B + 2 Re(u00 conj(u01) C)``, ``P01`` the same
-with row 1 of u, and ``Pvac = p00``.  Every dense step still updates all
-``4 * 2**n`` amplitudes, once per kick; the samples cost only vector
+with row 1 of u, and ``Pvac = p00``.  The samples cost only vector
 arithmetic, and each is one closed-form step from its anchor, so rounding
 does not grow with the number of samples.  The sample times, the anchor
 that owns each sample and each sample's block u come from
 ``core._sample_blocks``, which describes the layout.
 
+Kick k consumes fresh probe k, and only kick j moves probe bit j, so before
+kick k every amplitude with a probe bit at or above k is exactly zero.  The
+dense steps therefore run on the live prefix: the free step before kick k on
+``phi[:, :2**k]``, and kick k with its anchor read on ``phi[:, :2**(k+1)]``.
+The prefixes double from kick to kick, so a run costs O(2**n) dense work
+instead of O(n 2**n), with the same kernels and the same bits.  This is not
+a sparse oracle: every amplitude of every probe touched so far is stored and
+stepped densely, whatever its value, the final working array holds all
+``4 * 2**n`` amplitudes, and nothing of the engine's reduction is used.
+
 Each product is computed as the out-of-place expression ``u[i, j] * x`` or
 ``cos g * x - (i sin g) * y`` would compute it, in that operand order and
 never written over one of its own operands: numpy's in-place complex
-multiply can round an ulp differently.  The one in-place product is the
-|1,1> phase, ``row *= phase``.
+multiply can round an ulp differently.  The one in-place product on the
+state is the |1,1> phase, ``row *= phase``; the coherence read multiplies
+``conj(x01)`` by ``x10`` in place in the scratch buffer, since it only feeds
+a sum.
 """
 
 from __future__ import annotations
@@ -110,12 +125,25 @@ class FullState:
 def _populations(phi: np.ndarray) -> list[float]:
     """Weight of each system state s, summed over the probes: row sums of |phi|^2.
 
-    ``phi`` must be contiguous; its rows are read as interleaved (re, im)
-    pairs and summed as squares in one read-only pass.  A BLAS dot would do
-    the same sum, but OpenBLAS can stall for milliseconds starting its threads.
+    Each row of ``phi`` must be contiguous, but the row stride may be wider
+    than a row, as in a column-prefix view ``phi[:, :m]`` of the working
+    array.  The rows are read as interleaved (re, im) pairs and summed as
+    squares in one read-only pass.  A BLAS dot would do the same sum, but
+    OpenBLAS can stall for milliseconds starting its threads.
     """
     w = phi.view(np.float64)
     return np.einsum("ij,ij->i", w, w).tolist()
+
+
+def _coherence(phi: np.ndarray, scratch: np.ndarray) -> complex:
+    """C = sum over the probes of x10 conj(x01); ``scratch`` needs phi.shape[1] slots.
+
+    ``np.vdot`` would be one call, but it is an OpenBLAS ``zdotc``, which
+    can stall as a BLAS dot does in ``_populations``.
+    """
+    c = np.conjugate(phi[1], out=scratch[: phi.shape[1]])
+    np.multiply(c, phi[2], out=c)
+    return c.sum()
 
 
 def _free_step_in_place(
@@ -207,24 +235,30 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     Returns the populations sampled exactly like the reduced engine: the
     uniform grid plus both one-sided records at each kick instant.  The dense
     state moves only from kick to kick; every sample is read off the reduced
-    density matrix of the pair right after the latest kick before it.
+    density matrix of the pair right after the latest kick before it.  Each
+    step runs on the live prefix of the working array, the probe states in
+    which no probe beyond the current kick is excited, so the dense work of
+    a run is O(2**n); see the module docstring.
     """
     if len(schedule.kicks) > MAX_PROBES:
         raise CapacityError(
             f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
         )
-    phi = initial_state(len(schedule.kicks)).amps.reshape(-1, 4).T.copy()
+    phi = np.zeros((4, 2 ** len(schedule.kicks)), dtype=np.complex128)
+    phi[2, 0] = 1.0  # |1,0> with every probe in its ground state
     scratch = np.empty(phi.size // 2, dtype=np.complex128)
-    pops = [_populations(phi)]  # per anchor: p00, p01 = B, p10 = A, p11
-    cross = [np.vdot(phi[1], phi[2])]  # per anchor: C = sum of x10 conj(x01)
+    live = phi[:, :1]  # before kick k only probe states below 2**k hold weight
+    pops = [_populations(live)]  # per anchor: p00, p01 = B, p10 = A, p11
+    cross = [_coherence(live, scratch)]  # per anchor: C = sum of x10 conj(x01)
     now = 0.0
     for index, (t_kick, g) in enumerate(schedule.kicks):
         if t_kick > now:
-            _free_step_in_place(phi, t_kick - now, params, scratch)
+            _free_step_in_place(live, t_kick - now, params, scratch)
             now = t_kick
-        _kick_in_place(phi, index, g, scratch)
-        pops.append(_populations(phi))
-        cross.append(np.vdot(phi[1], phi[2]))
+        live = phi[:, : 2 ** (index + 1)]
+        _kick_in_place(live, index, g, scratch)
+        pops.append(_populations(live))
+        cross.append(_coherence(live, scratch))
 
     t, idx, u = _sample_blocks(schedule, params)
     p00, w01, w10, p11 = np.array(pops)[idx].T

@@ -218,6 +218,16 @@ def public_fold(schedule, params):
     return np.array(t), np.array(rows)
 
 
+#: kicks on probes 0 to 11, from t = 0 to T = 1.3, with g = 0 and g = pi among them
+TWELVE_KICKS = tuple(
+    (float(t), g)
+    for t, g in zip(
+        np.linspace(0.0, 1.3, 12),
+        (0.4, 0.0, 2.2, math.pi, 1.1, 0.7, 3.0, 0.25, math.pi / 2, 5.1, 1.6, 2.9),
+    )
+)
+
+
 class TestRunSchedule:
     @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
     @pytest.mark.parametrize(
@@ -227,8 +237,9 @@ class TestRunSchedule:
             ((0.0, 0.0), (0.4, 1.1), (0.9, 2.5), (1.3, math.pi)),
             ((0.0, math.pi), (0.25, 0.7), (0.5, 4.0), (0.75, 1.9), (1.3, 0.0)),
             ((0.65, math.pi / 2),),
+            TWELVE_KICKS,
         ],
-        ids=["no-kicks", "g0-at-start-pi-at-end", "pi-at-start-g0-at-end", "one-kick"],
+        ids=["no-kicks", "g0-at-start-pi-at-end", "pi-at-start-g0-at-end", "one-kick", "12-kicks"],
     )
     def test_equals_the_public_step_fold(self, kicks, params):
         # Kick k uses probe k, so the first and last kicks hit probes 0 and n-1.
@@ -291,6 +302,34 @@ class TestRunSchedule:
         psi = state.amps.reshape(-1, 4)
         assert np.all(psi[1:, 1:] == 0)  # rows with any probe excited, system not in |0,0>
 
+    def test_uses_no_blas(self, monkeypatch):
+        # OpenBLAS can stall for milliseconds starting its threads, so a dense
+        # run reads its anchors without any BLAS dot.
+        schedule = KickSchedule(TWELVE_KICKS, 1.3, 20.0)
+        t, rows = public_fold(schedule, DETUNED)
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("dense run called a BLAS dot")
+
+        for name in ("vdot", "dot", "inner"):
+            monkeypatch.setattr(np, name, no_blas)
+        traj = oracle.run_schedule(schedule, DETUNED)
+        np.testing.assert_array_equal(traj.t, t)
+        for column, attr in enumerate(("p10", "p01", "pvac", "norm")):
+            assert np.max(np.abs(getattr(traj, attr) - rows[:, column])) <= 1e-15
+
+    def test_matches_reduced_engine_at_capacity(self):
+        # The widest run the dense path accepts, held to criterion 1's bound.
+        rng = np.random.default_rng(37)
+        times = np.sort(rng.uniform(0.0, 1.0, oracle.MAX_PROBES))
+        gs = rng.uniform(0.0, math.pi, oracle.MAX_PROBES)
+        schedule = KickSchedule(tuple(zip(times, gs)), 1.0, 40.0)
+        dense = oracle.run_schedule(schedule, DETUNED)
+        reduced = engine.run_schedule(schedule, DETUNED)
+        np.testing.assert_array_equal(dense.t, reduced.t)
+        for attr in ("p10", "p01", "pvac"):
+            assert np.max(np.abs(getattr(dense, attr) - getattr(reduced, attr))) <= 1e-10
+
     def test_matches_reduced_engine_pointwise(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -308,3 +347,48 @@ class TestRunSchedule:
             for attr in ("p10", "p01", "pvac"):
                 dev = np.max(np.abs(getattr(dense, attr) - getattr(reduced, attr)))
                 assert dev <= 1e-10
+
+
+class TestLivePrefix:
+    """What run_schedule's live column prefix rests on."""
+
+    @pytest.mark.parametrize("params", [RESONANT, DETUNED], ids=["resonant", "detuned"])
+    def test_probes_not_yet_kicked_hold_no_amplitude(self, params):
+        # Folded with the full-width public steps: before kick k, every
+        # amplitude with a probe bit at or above k is exactly zero.
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            total_time = float(rng.uniform(0.2, 2.0))
+            times = np.sort(rng.uniform(0.0, total_time, n))
+            if trial % 2 == 0:
+                times[0] = 0.0
+            if trial % 3 == 0:
+                times[-1] = total_time
+            gs = rng.uniform(0.0, 2 * math.pi, n)
+            gs[rng.integers(n)] = 0.0
+            gs[rng.integers(n)] = math.pi
+            state, now = oracle.initial_state(n), 0.0
+            for k, (t, g) in enumerate(zip(times, gs)):
+                state, now = oracle.free_step(state, t - now, params), t
+                assert np.all(state.amps.reshape(-1, 4)[2**k :] == 0), (trial, k)
+                state = oracle.kick(state, k, g)
+
+    @pytest.mark.parametrize("width", range(6))
+    def test_kernels_on_a_prefix_view_write_through(self, width):
+        # A column prefix keeps the parent's row stride; the kernels must
+        # step it in place exactly as they step a contiguous copy of it.
+        rng = np.random.default_rng(43 + width)
+        n_probes = 5
+        phi = rng.normal(size=(4, 2**n_probes)) + 1j * rng.normal(size=(4, 2**n_probes))
+        scratch = np.empty(phi.size // 2, dtype=np.complex128)
+        steps = [lambda a, p=p: oracle._free_step_in_place(a, 0.37, p, scratch)
+                 for p in (RESONANT, DETUNED)]
+        steps += [lambda a, k=k: oracle._kick_in_place(a, k, 1.1, scratch) for k in range(width)]
+        for step in steps:
+            before = phi.copy()
+            expected = phi[:, : 2**width].copy()
+            step(expected)
+            step(phi[:, : 2**width])
+            np.testing.assert_array_equal(phi[:, : 2**width], expected)
+            np.testing.assert_array_equal(phi[:, 2**width :], before[:, 2**width :])
