@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -557,6 +558,14 @@ def oracle_engine_deviation(
     compares P10, P01 and Pvac pointwise on the shared sample grid.  Kick
     times are redrawn until they are distinct; a ValueError is raised if
     ``_KICK_TIME_DRAWS`` draws never give distinct times.
+
+    The trials come from the standard library's ``random.Random(seed)``, not
+    from numpy's generator.  ``random`` is already loaded by ``import numpy``,
+    while numpy's random subpackage would load about 20 more modules
+    (OpenSSL's ``_hashlib`` among them) in every fresh process, at several
+    times the cost of the draws.  Python also keeps the ``random()`` stream
+    behind ``uniform`` fixed per seed across versions; numpy makes no such
+    promise for its ``Generator`` methods.
     """
     if max(n_choices, default=0) > ORACLE_CHECK_MAX_KICKS:
         raise CapacityError(
@@ -566,18 +575,18 @@ def oracle_engine_deviation(
         raise ValueError("kick counts must be >= 0")
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     per_unit = resolution / total_time
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.choice(n_choices)) if n_choices else 0
+        n = rng.choice(n_choices) if n_choices else 0
         for _ in range(_KICK_TIME_DRAWS):
-            times = np.sort(rng.uniform(0.0, total_time, n))
-            if n == 0 or np.all(np.diff(times) > 0):
+            times = sorted(rng.uniform(0.0, total_time) for _ in range(n))
+            if all(a < b for a, b in zip(times, times[1:])):
                 break
         else:
             raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
-        strengths = rng.uniform(0.0, 2.0 * math.pi, n)
+        strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
         schedule = KickSchedule(tuple(zip(times, strengths)), total_time, per_unit)
         reduced = engine.run_schedule(schedule, params)
         dense = oracle.run_schedule(schedule, params)

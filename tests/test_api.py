@@ -64,3 +64,30 @@ def test_importing_the_package_leaves_the_cli_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")
+
+
+def test_an_oracle_check_run_loads_no_numpy_random(tmp_path):
+    # The trials are drawn with the standard library's ``random``, which
+    # ``import numpy`` has already loaded; numpy's random subpackage would
+    # pull in ``hashlib``, ``secrets`` and OpenSSL on every fresh run.
+    src = str(Path(zenokick.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    scenario = tmp_path / "check.txt"
+    out = tmp_path / "report.txt"
+    scenario.write_text(
+        f"scenario = oracle-check\ntrials = 2\nN_list = 3\nT = 1\nresolution = 10\nout = {out}\n"
+    )
+    probe = (
+        "import sys, zenokick\n"
+        f"code = zenokick.cli.main([{str(scenario)!r}])\n"
+        "print(code, sorted({'numpy.random', 'hashlib', 'secrets'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, wrote, loaded = proc.stdout.splitlines()
+    assert report.startswith("status=PASS max_dev=") and report.endswith("trials=2")
+    assert wrote == f"wrote {out}"
+    assert loaded == "0 []"
+    assert out.read_text() == report + "\n"

@@ -310,25 +310,29 @@ class TestCsvFormat:
 
 
 class TestOracleCheck:
-    def config(self, tmp_path, **overrides):
+    #: the benchmark's ``verify`` parameters: detuned, with a non-unit coupling
+    DETUNED = "G = 1.3\neps_a = 0.4\neps_b = -0.2\n"
+
+    def config(self, tmp_path, extra="", **overrides):
         fields = dict(trials=25, seed=1, n="0..5", T=1.0, resolution=60)
         fields.update(overrides)
         out = tmp_path / "report.txt"
         text = (
             f"scenario = oracle-check\ntrials = {fields['trials']}\nseed = {fields['seed']}\n"
             f"N_list = {fields['n']}\nT = {fields['T']}\nresolution = {fields['resolution']}\n"
-            f"out = {out}\n"
+            f"out = {out}\n{extra}"
         )
         return cli.parse_config(text), out
 
     def test_pass_report(self, tmp_path, capsys):
-        config, out = self.config(tmp_path)
-        assert cli.cmd_oracle_check(config) == 0
-        line, *rest = capsys.readouterr().out.splitlines()
-        assert line.startswith("status=PASS max_dev=")
-        assert line.endswith("trials=25")
-        assert rest == [f"wrote {out}"]
-        assert out.read_text() == line + "\n"
+        for extra in ("", self.DETUNED):
+            config, out = self.config(tmp_path, extra)
+            assert cli.cmd_oracle_check(config) == 0
+            line, *rest = capsys.readouterr().out.splitlines()
+            assert line.startswith("status=PASS max_dev=")
+            assert line.endswith("trials=25")
+            assert rest == [f"wrote {out}"]
+            assert out.read_text() == line + "\n"
 
     def test_zero_trials_is_a_vacuous_pass(self, tmp_path, capsys):
         config, _ = self.config(tmp_path, trials=0)
@@ -343,10 +347,11 @@ class TestOracleCheck:
             cg, sg = math.cos(g), math.sin(g)
             return a * cg, b, v + (a.real**2 + a.imag**2) * sg * sg
 
-        config, _ = self.config(tmp_path)
         monkeypatch.setattr(engine, "_kick", kick_the_wrong_amplitude)
-        assert cli.cmd_oracle_check(config) == 1
-        assert "status=FAIL" in capsys.readouterr().out
+        for extra in ("", self.DETUNED):
+            config, _ = self.config(tmp_path, extra)
+            assert cli.cmd_oracle_check(config) == 1
+            assert "status=FAIL" in capsys.readouterr().out
 
     def test_kick_times_that_cannot_be_distinct_are_refused(self, tmp_path, capsys):
         # Only four doubles lie in [0, T]: ten distinct kick times do not exist,
