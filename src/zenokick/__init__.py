@@ -12,14 +12,6 @@ instrument.
 import importlib
 
 from . import analytics, core, engine, oracle
-from .analytics import (
-    finite_difference_rate,
-    rate_after_n_kicks,
-    rate_after_one_kick,
-    rate_free,
-    rate_super_zeno,
-    survival_function,
-)
 from .core import (
     CapacityError,
     KickSchedule,
@@ -28,7 +20,6 @@ from .core import (
     SystemParams,
     Trajectory,
 )
-from .engine import run_equally_spaced, sweep
 
 __version__ = "0.1.0"
 
@@ -53,13 +44,5 @@ __all__ = [
     "KickSchedule",
     "ReducedState",
     "Trajectory",
-    "run_equally_spaced",
-    "sweep",
-    "rate_free",
-    "rate_after_one_kick",
-    "rate_super_zeno",
-    "rate_after_n_kicks",
-    "survival_function",
-    "finite_difference_rate",
     "__version__",
 ]

@@ -288,7 +288,8 @@ def _check_size(config: ScenarioConfig) -> None:
 
     The sample count is (strengths or trials) x (grid points + a pre and a
     post record per kick), exact unless a kick falls on a grid point; a
-    sweep's cell count is strengths x kick counts.  The longest free step
+    sweep's cell count is strengths x kick counts, and the samples per unit
+    time, ``resolution / T``, must stay finite.  The longest free step
     (``T``, or ``tau`` for an interval sweep) times each rate of the pair
     Hamiltonian must be a finite angle, or the propagators would turn to NaN.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
@@ -322,6 +323,10 @@ def _check_size(config: ScenarioConfig) -> None:
             raise ValueError(
                 f"scenario would take {runs * per_run} samples ({runs} x {per_run}); "
                 f"at most {MAX_SAMPLES} are allowed"
+            )
+        if step > 0 and not math.isfinite(config.resolution / step):
+            raise ValueError(
+                f"resolution / T overflows (resolution = {config.resolution}, T = {step:g})"
             )
     omega = math.hypot(0.5 * (config.eps_a - config.eps_b), config.coupling)
     for rate, name in ((omega, "omega"), (config.eps_a + config.eps_b, "(eps_a + eps_b)")):

@@ -34,7 +34,6 @@ __all__ = [
     "KickSchedule",
     "ReducedState",
     "Trajectory",
-    "single_excitation_block",
     "block_minus_identity",
     "free_propagate",
     "apply_kick",
@@ -178,7 +177,12 @@ def check_populations(p10, p01, pvac, norm) -> None:
 
 
 def _block_entries(dt: float, params: SystemParams) -> tuple[complex, complex, complex]:
-    """Entries (u00, u01 = u10, u11) of ``single_excitation_block`` as Python complex numbers."""
+    """Exact exp(-i H dt) on the (|1,0>, |0,1>) block, H = [[eps_a, c], [c, eps_b]].
+
+    Returns the entries (u00, u01 = u10, u11) as Python complex numbers.
+    Valid for any detuning; at eps_a == eps_b the block reduces to the
+    rotation [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
+    """
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     half_sum = 0.5 * (params.eps_a + params.eps_b)
@@ -194,18 +198,8 @@ def _block_entries(dt: float, params: SystemParams) -> tuple[complex, complex, c
     )
 
 
-def single_excitation_block(dt: float, params: SystemParams) -> np.ndarray:
-    """Exact exp(-i H dt) on the (|1,0>, |0,1>) block, H = [[eps_a, c], [c, eps_b]].
-
-    Valid for any detuning; at eps_a == eps_b it reduces to the rotation
-    [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
-    """
-    u00, u01, u11 = _block_entries(dt, params)
-    return np.array([[u00, u01], [u01, u11]], dtype=np.complex128)
-
-
 def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
-    """``single_excitation_block(dt) - I`` for an array of steps, without cancellation.
+    """The block of ``_block_entries`` minus I for an array of steps, without cancellation.
 
     The same closed form, with every cos(x) - 1 written as -2 sin^2(x/2), so
     an entry keeps its full relative precision however small dt is; the
@@ -233,7 +227,7 @@ def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
 
 
 def _free_step(a: complex, b: complex, dt: float, params: SystemParams) -> tuple[complex, complex]:
-    """(a, b) after ``single_excitation_block(dt)``, on plain scalars."""
+    """(a, b) after the block of ``_block_entries(dt)``, on plain scalars."""
     u00, u01, u11 = _block_entries(dt, params)
     return u00 * a + u01 * b, u01 * a + u11 * b
 
@@ -315,7 +309,7 @@ def _sample_blocks(
     time 0 for k = 0 and at kick k's time otherwise; ``idx`` holds the anchor
     of each sample, the number of kicks applied before it, so a pre-kick
     record still belongs to the anchor before its kick.  ``u[:, :, i]`` is
-    ``single_excitation_block`` over the time from sample i's anchor to it,
+    the block of ``_block_entries`` over the time from sample i's anchor to it,
     built from ``block_minus_identity``.  ``engine.run_schedule`` and
     ``oracle.run_schedule`` both sample this way, which makes their
     trajectories comparable sample by sample; ``schedule_steps`` lists the

@@ -28,8 +28,8 @@ keep the full row stride, and splitting one axis of it still never copies.
 
 ``run_schedule`` allocates one zeroed ``(4, 2**n)`` working array and one
 scratch buffer of ``phi.size // 2`` slots, once per run; the public
-``free_step``, ``kick`` and ``FullState.populations`` copy the state, run the
-same kernel on the copy and return fresh values.
+``free_step`` and ``kick`` copy the state, run the same kernel on the copy
+and return a fresh ``FullState``.
 
 Sampling a run
 --------------
@@ -111,15 +111,6 @@ class FullState:
             raise ValueError(f"expected {4 * 2**self.n_probes} amplitudes, got shape {amps.shape}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    def norm(self) -> float:
-        w = self.amps.real**2 + self.amps.imag**2
-        return math.sqrt(float(w.sum()))
-
-    def populations(self) -> tuple[float, float, float]:
-        """(P10, P01, Pvac): weight summed over all probe configurations."""
-        p00, p01, p10, _ = _populations(self.amps.reshape(-1, 4).T.copy())
-        return p10, p01, p00
 
 
 def _populations(phi: np.ndarray) -> list[float]:

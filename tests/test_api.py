@@ -1,11 +1,13 @@
 """The public names resolve: every ``__all__`` entry, and every name the benchmark reads.
 
 A deletion that breaks ``bench/`` would otherwise show only when someone runs
-the benchmark.
+the benchmark.  The package root holds only the modules and the types, and
+the README's Python API example runs as written.
 """
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,18 @@ import pytest
 import zenokick
 
 MODULES = ("analytics", "cli", "core", "engine", "oracle")
+TYPES = (
+    "CapacityError",
+    "OffResonanceError",
+    "SystemParams",
+    "KickSchedule",
+    "ReducedState",
+    "Trajectory",
+)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-#: what bench/kernels.py, bench/worker.py and bench/tracer.py reach for
+#: what bench/kernels.py and bench/worker.py reach for, and the spans that
+#: bench/run.py and bench/tracer.py read by name: a renamed span reads 0
 BENCHMARK_NAMES = (
     "ReducedState",
     "SystemParams",
@@ -27,12 +39,20 @@ BENCHMARK_NAMES = (
     "core.schedule_steps",
     "engine.run_equally_spaced",
     "engine.sweep",
+    "engine.run_schedule",
+    "engine.final_state",
+    "analytics.survival_function",
+    "analytics.finite_difference_rate",
     "oracle.initial_state",
     "oracle.kick",
     "oracle.free_step",
     "oracle.run_schedule",
     "cli.parse_config",
     "cli.main",
+    "cli.trajectory_csv",
+    "cli.sweep_csv",
+    "cli.oracle_engine_deviation",
+    "cli.rate_comparison_rows",
 )
 
 
@@ -49,6 +69,19 @@ def test_every_name_the_benchmark_reads_resolves(dotted):
     for part in dotted.split("."):
         obj = getattr(obj, part)
     assert obj is not None
+
+
+def test_the_package_root_holds_only_the_modules_and_the_types():
+    # One import path per name: functions are reached through their module.
+    assert sorted(zenokick.__all__) == sorted([*MODULES, *TYPES, "__version__"])
+
+
+def test_the_readme_python_api_example_runs():
+    section = README.read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["p10"] == pytest.approx(0.96218, abs=5e-6)
 
 
 def test_importing_the_package_leaves_the_cli_unloaded():

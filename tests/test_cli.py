@@ -502,6 +502,8 @@ class TestMainPlumbing:
              "(eps_a + eps_b) * T overflows"),
             ("scenario = oracle-check\neps_a = 1e308\neps_b = -1e308\nT = 1\ntrials = 1",
              "omega * T overflows"),
+            ("scenario = run\nT = 1e-310\nresolution = 1000",
+             "resolution / T overflows (resolution = 1000, T = 1e-310)"),
         ],
     )
     def test_overflow_names_its_cause(self, body, cause, tmp_path, capsys):

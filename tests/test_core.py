@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from reference import single_excitation_block
 from scipy.linalg import expm
 from test_engine import SAMPLER_CASES, sampler_schedule
 
@@ -20,7 +21,6 @@ from zenokick.core import (
     free_propagate,
     _sample_blocks,
     schedule_steps,
-    single_excitation_block,
 )
 
 RESONANT = SystemParams()

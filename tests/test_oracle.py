@@ -5,16 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from reference import norm, populations, single_excitation_block
 from scipy.linalg import expm
 
 from zenokick import engine, oracle
-from zenokick.core import (
-    CapacityError,
-    KickSchedule,
-    SystemParams,
-    schedule_steps,
-    single_excitation_block,
-)
+from zenokick.core import CapacityError, KickSchedule, SystemParams, schedule_steps
 
 RESONANT = SystemParams()
 DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
@@ -55,7 +50,7 @@ class TestInitialState:
 
     @pytest.mark.parametrize("n", range(7))
     def test_unit_norm(self, n):
-        assert oracle.initial_state(n).norm() == 1.0
+        assert norm(oracle.initial_state(n)) == 1.0
 
     @pytest.mark.parametrize("n", [-1, 21, 100])
     def test_capacity_guard(self, n):
@@ -72,7 +67,7 @@ class TestFreeStep:
     def test_survival_follows_cosine_law(self):
         state = oracle.initial_state(0)
         for dt in (0.1, 0.7, 1.9):
-            p10, _, _ = oracle.free_step(state, dt, RESONANT).populations()
+            p10, _, _ = populations(oracle.free_step(state, dt, RESONANT))
             assert p10 == pytest.approx(math.cos(dt) ** 2, abs=1e-14)
 
     def test_matches_dense_exponential_when_detuned(self):
@@ -97,7 +92,7 @@ class TestFreeStep:
     def test_norm_preserved_on_random_state(self):
         state = random_full_state(3, seed=5)
         out = oracle.free_step(state, 0.37, SystemParams(eps_a=0.4, eps_b=0.1))
-        assert abs(out.norm() - 1.0) < 1e-13
+        assert abs(norm(out) - 1.0) < 1e-13
 
 
 class TestKick:
@@ -124,7 +119,7 @@ class TestKick:
         for seed, g in ((1, 0.3), (2, 2.0), (3, 4.4)):
             state = random_full_state(3, seed=seed)
             out = oracle.kick(state, 2, g)
-            assert abs(out.norm() - 1.0) < 1e-13
+            assert abs(norm(out) - 1.0) < 1e-13
 
     @pytest.mark.parametrize("probe_index", range(3))
     def test_matches_exponential_of_generator(self, probe_index):
@@ -199,11 +194,13 @@ class TestInputUnchanged:
 
 
 def public_fold(schedule, params):
-    """run_schedule rebuilt from the public free_step, kick and populations().
+    """run_schedule rebuilt from the public free_step and kick.
 
     The state right after the latest kick is the anchor: a kick applies one
     free step from it to the kick instant, and each sample one from it to
-    the sample's time.
+    the sample's time.  Each sample is read with ``reference.populations``
+    and ``reference.norm``, plain |amps|^2 sums that share no code with the
+    kernel ``run_schedule`` reads its anchors with.
     """
     state, t_anchor = oracle.initial_state(len(schedule.kicks)), 0.0
     t, rows = [], []
@@ -214,7 +211,7 @@ def public_fold(schedule, params):
         elif step[0] == "sample":
             sample = oracle.free_step(state, step[1] - t_anchor, params)
             t.append(step[1])
-            rows.append((*sample.populations(), sample.norm() ** 2))
+            rows.append((*populations(sample), norm(sample) ** 2))
     return np.array(t), np.array(rows)
 
 
