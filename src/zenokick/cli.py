@@ -562,7 +562,11 @@ def oracle_engine_deviation(
     in [0, total_time] and draws each strength uniformly in [0, 2 pi], then
     compares P10, P01 and Pvac pointwise on the shared sample grid.  Kick
     times are redrawn until they are distinct; a ValueError is raised if
-    ``_KICK_TIME_DRAWS`` draws never give distinct times.
+    ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
+    drawn before any is run, in that order, so a seed gives the same trials
+    however they are run.  The dense side runs all of them in one
+    ``oracle.run_schedules`` call, which steps the trials of each kick count
+    together; each is then compared with its own ``engine.run_schedule``.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -582,7 +586,7 @@ def oracle_engine_deviation(
         raise ValueError(f"total_time must be positive, got {total_time}")
     rng = random.Random(seed)
     per_unit = resolution / total_time
-    worst = 0.0
+    schedules = []
     for _ in range(trials):
         n = rng.choice(n_choices) if n_choices else 0
         for _ in range(_KICK_TIME_DRAWS):
@@ -592,9 +596,10 @@ def oracle_engine_deviation(
         else:
             raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
         strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
-        schedule = KickSchedule(tuple(zip(times, strengths)), total_time, per_unit)
+        schedules.append(KickSchedule(tuple(zip(times, strengths)), total_time, per_unit))
+    worst = 0.0
+    for schedule, dense in zip(schedules, oracle.run_schedules(schedules, params)):
         reduced = engine.run_schedule(schedule, params)
-        dense = oracle.run_schedule(schedule, params)
         for attr in ("p10", "p01", "pvac"):
             dev = float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))
             worst = max(worst, dev)

@@ -154,12 +154,18 @@ class Trajectory:
         n = len(self.t)
         if n == 0 or any(len(arr) != n for arr in arrays):
             raise ValueError("trajectory arrays must be non-empty and equally long")
-        if np.any(np.diff(self.t) < 0):
+        if not np.all(np.diff(self.t) >= 0):  # negated, so that a NaN time fails too
             raise ValueError("sample times must be non-decreasing")
         check_populations(self.p10, self.p01, self.pvac, self.norm)
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+#: slack of the population guard: populations may lie 1e-12 outside [0, 1] ...
+_POPULATION_SLACK = 1e-12
+#: ... and the total weight 1e-10 away from 1
+_NORM_SLACK = 1e-10
 
 
 def check_populations(p10, p01, pvac, norm) -> None:
@@ -170,9 +176,22 @@ def check_populations(p10, p01, pvac, norm) -> None:
     bounds are written as negated ``<=`` tests so that NaN fails them too.
     """
     pops = np.array((p10, p01, pvac))
-    if not (pops.min() >= -1e-12 and pops.max() <= 1 + 1e-12):
+    if not (pops.min() >= -_POPULATION_SLACK and pops.max() <= 1 + _POPULATION_SLACK):
         raise ValueError("populations must lie in [0, 1]")
-    if not np.max(np.abs(norm - 1.0)) <= 1e-10:
+    if not np.max(np.abs(norm - 1.0)) <= _NORM_SLACK:
+        raise ValueError("total weight drifted from 1 by more than 1e-10")
+
+
+def _check_state(state: ReducedState) -> None:
+    """``check_populations`` on one reduced state, compared as Python floats.
+
+    Same bounds, same messages in the same order, and NaN fails here too;
+    building arrays from three floats would cost more than a short fold.
+    """
+    low, high = -_POPULATION_SLACK, 1 + _POPULATION_SLACK
+    if not (low <= state.p10 <= high and low <= state.p01 <= high and low <= state.v <= high):
+        raise ValueError("populations must lie in [0, 1]")
+    if not abs(state.norm - 1.0) <= _NORM_SLACK:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 

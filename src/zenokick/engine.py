@@ -22,6 +22,7 @@ from .core import (
     ReducedState,
     SystemParams,
     Trajectory,
+    _check_state,
     _free_step,
     _kick,
     _sample_blocks,
@@ -110,7 +111,7 @@ def final_state(
     if total_time > now:
         a, b = _free_step(a, b, total_time - now, params)
     state = ReducedState(a, b, v)
-    check_populations(state.p10, state.p01, state.v, state.norm)
+    _check_state(state)
     return state
 
 

@@ -15,27 +15,41 @@ With no probes the four system states order as |0,0>, |0,1>, |1,0>, |1,1>.
 
 Working array
 -------------
-Every step works in place on a system-major view of the amplitudes,
-``phi[s, m] = amps[(m << 2) | s]`` with shape ``(4, 2**n)``: a free step
-updates rows 1 and 2 (and the phase of row 3) with the block entries as
-scalars, and a kick on probe k rotates both of its row pairs at once, as two
-``(2, 2**(n-k-1), 2**k)`` slices of ``phi.reshape(4, 2**(n-k-1), 2, 2**k)``.
-The populations are the row sums of ``|phi|**2``, read in one pass over the
-float view without writing a squared copy.  The kernels take any view whose
-rows are contiguous, so they also run on a column prefix ``phi[:, :2**j]``,
-which holds every probe state with no probe at or above j excited: its rows
-keep the full row stride, and splitting one axis of it still never copies.
+Every step works in place on a system-major view of the amplitudes with a
+leading trial axis, ``phi[r, s, m] = amps_r[(m << 2) | s]`` with shape
+``(trials, 4, 2**n)``, where trial r is one schedule's state.  A free step
+updates rows 1 and 2 (and the phase of row 3) of every trial with its block
+entries, and a kick on probe k rotates both of its row pairs in every trial
+at once, as two ``(trials, 2, 2**(n-k-1), 2**k)`` slices of
+``phi.reshape(trials, 4, 2**(n-k-1), 2, 2**k)``.  The populations are the
+row sums of ``|phi|**2``, read in one pass over the float view without
+writing a squared copy.  The kernels take any view whose rows are
+contiguous, so they also run on a column prefix ``phi[..., :2**j]``, which
+holds every probe state with no probe at or above j excited: its rows keep
+the full row stride, and splitting one axis of it still never copies.
 
-``run_schedule`` allocates one zeroed ``(4, 2**n)`` working array and one
-scratch buffer of ``phi.size // 2`` slots, once per run; the public
-``free_step`` and ``kick`` copy the state, run the same kernel on the copy
-and return a fresh ``FullState``.
+Each trial's constants (block entries, phase, ``cos g`` and ``i sin g``)
+are computed on Python scalars, one trial at a time, and enter the kernels
+as a column with one value per trial, which stays fixed along the trial's
+rows as a scalar would.  Every product therefore runs along one row of one
+trial, with the same operands and in the same numpy loop as a run of that
+trial alone, and a trial's bits do not depend on the other trials.  A batch
+of one trial drops the trial axis, ``phi[s, m]`` with shape ``(4, 2**n)``,
+and passes its constants as the scalars themselves; the kernels index from
+the last axis (``phi[..., s, :]``), so they take either shape.
+
+``run_schedules`` groups its schedules by kick count and steps each group
+together, at most ``BATCH_AMPLITUDES`` amplitudes (but never fewer than one
+trial) to a working array; ``run_schedule`` is its one-schedule case.  Each
+batch allocates one zeroed working array and one scratch buffer of
+``phi.size // 2`` slots.  The public ``free_step`` and ``kick`` copy the
+state, run the same kernel on the copy and return a fresh ``FullState``.
 
 Sampling a run
 --------------
 Probes have no free Hamiltonian, so between two kicks only the pair's
-single-excitation block moves.  ``run_schedule`` therefore makes one dense
-free step from each kick to the next, then the kick, and then reads the
+single-excitation block moves.  A run therefore makes one dense free step
+from each kick to the next, then the kick, and then reads the
 reduced density matrix of the pair right after it (the anchor): the weights
 ``p00``, ``p11``, ``A = sum |x10|**2``, ``B = sum |x01|**2`` and the
 coherence ``C = sum x10 conj(x01)``, each summed over all probe states.  A
@@ -51,9 +65,10 @@ that owns each sample and each sample's block u come from
 Kick k consumes fresh probe k, and only kick j moves probe bit j, so before
 kick k every amplitude with a probe bit at or above k is exactly zero.  The
 dense steps therefore run on the live prefix: the free step before kick k on
-``phi[:, :2**k]``, and kick k with its anchor read on ``phi[:, :2**(k+1)]``.
-The prefixes double from kick to kick, so a run costs O(2**n) dense work
-instead of O(n 2**n), with the same kernels and the same bits.  This is not
+``phi[..., :2**k]``, and kick k with its anchor read on
+``phi[..., :2**(k+1)]``.  The prefixes double from kick to kick, so a run
+costs O(2**n) dense work instead of O(n 2**n), with the same kernels and the
+same bits.  This is not
 a sparse oracle: every amplitude of every probe touched so far is stored and
 stepped densely, whatever its value, the final working array holds all
 ``4 * 2**n`` amplitudes, and nothing of the engine's reduction is used.
@@ -72,6 +87,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -91,9 +107,15 @@ __all__ = [
     "free_step",
     "kick",
     "run_schedule",
+    "run_schedules",
 ]
 
 MAX_PROBES = 20
+#: amplitudes one working array of ``run_schedules`` may hold (16 MiB); a
+#: schedule wider than that still runs, as a batch of one
+BATCH_AMPLITUDES = 2**20
+#: constants of a free step of length zero: exactly the identity
+_IDENTITY = (1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -113,37 +135,47 @@ class FullState:
         object.__setattr__(self, "amps", amps)
 
 
-def _populations(phi: np.ndarray) -> list[float]:
-    """Weight of each system state s, summed over the probes: row sums of |phi|^2.
+def _read_anchor(phi: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's weights and coherence; ``scratch`` needs phi.size / 4 slots.
 
-    Each row of ``phi`` must be contiguous, but the row stride may be wider
-    than a row, as in a column-prefix view ``phi[:, :m]`` of the working
-    array.  The rows are read as interleaved (re, im) pairs and summed as
-    squares in one read-only pass.  A BLAS dot would do the same sum, but
-    OpenBLAS can stall for milliseconds starting its threads.
+    Returns the weight of each system state s, summed over the probes, as
+    ``pops[..., s]``: the row sums of |phi|^2, read as interleaved (re, im)
+    pairs and summed as squares in one read-only pass.  Returns C = sum over
+    the probes of x10 conj(x01) as ``cross[...]``.  Each row of ``phi`` must
+    be contiguous, but the row stride may be wider than a row, as in a
+    column-prefix view ``phi[..., :m]`` of the working array.  A BLAS dot
+    (``np.vdot``, ``np.dot``) would do either sum, but OpenBLAS can stall for
+    milliseconds starting its threads.
     """
     w = phi.view(np.float64)
-    return np.einsum("ij,ij->i", w, w).tolist()
+    x01, x10 = phi[..., 1, :], phi[..., 2, :]
+    c = np.conjugate(x01, out=scratch[: x01.size].reshape(x01.shape))
+    np.multiply(c, x10, out=c)
+    return np.einsum("...ij,...ij->...i", w, w), c.sum(axis=-1)
 
 
-def _coherence(phi: np.ndarray, scratch: np.ndarray) -> complex:
-    """C = sum over the probes of x10 conj(x01); ``scratch`` needs phi.shape[1] slots.
+def _free_constants(dt: float, params: SystemParams) -> tuple[complex, complex, complex, complex]:
+    """(u00, u01, u11, |1,1> phase) of exp(-i H_pair dt), as Python complex numbers."""
+    return (*_block_entries(dt, params), cmath.exp(-1j * (params.eps_a + params.eps_b) * dt))
 
-    ``np.vdot`` would be one call, but it is an OpenBLAS ``zdotc``, which
-    can stall as a BLAS dot does in ``_populations``.
+
+def _kick_constants(g: float) -> tuple[float, complex]:
+    """(cos g, i sin g) of a kick of strength g."""
+    if not math.isfinite(g):
+        raise ValueError(f"kick strength must be finite, got {g}")
+    return math.cos(g), 1j * math.sin(g)
+
+
+def _free_step_in_place(phi: np.ndarray, constants, scratch: np.ndarray) -> None:
+    """exp(-i H_pair dt) on a (4, m) or (trials, 4, m) array; ``scratch`` needs phi.size / 2.
+
+    ``constants`` are the four values of ``_free_constants``, each a scalar
+    or a (trials, 1) column that holds one value per trial.
     """
-    c = np.conjugate(phi[1], out=scratch[: phi.shape[1]])
-    np.multiply(c, phi[2], out=c)
-    return c.sum()
-
-
-def _free_step_in_place(
-    phi: np.ndarray, dt: float, params: SystemParams, scratch: np.ndarray
-) -> None:
-    """exp(-i H_pair dt) on a system-major array; ``scratch`` needs phi.size / 2 slots."""
-    u00, u01, u11 = _block_entries(dt, params)  # validates dt
-    x01, x10 = phi[1], phi[2]
-    t1, t2 = scratch[: x10.size], scratch[x10.size : 2 * x10.size]
+    u00, u01, u11, phase = constants
+    x01, x10 = phi[..., 1, :], phi[..., 2, :]
+    t1 = scratch[: x10.size].reshape(x10.shape)
+    t2 = scratch[x10.size : 2 * x10.size].reshape(x10.shape)
     np.multiply(u00, x10, out=t1)
     np.multiply(u01, x01, out=t2)
     np.add(t1, t2, out=t1)
@@ -151,31 +183,30 @@ def _free_step_in_place(
     x10[...] = t1
     np.multiply(u11, x01, out=t1)
     np.add(t2, t1, out=x01)
-    np.multiply(phi[3], cmath.exp(-1j * (params.eps_a + params.eps_b) * dt), out=phi[3])
+    np.multiply(phi[..., 3, :], phase, out=phi[..., 3, :])
 
 
-def _kick_in_place(phi: np.ndarray, probe_index: int, g: float, scratch: np.ndarray) -> None:
-    """Kick rotation on a system-major array; ``scratch`` needs phi.size / 2 slots.
+def _kick_in_place(phi: np.ndarray, probe_index: int, cg, isg, scratch: np.ndarray) -> None:
+    """Kick rotation on a (4, m) or (trials, 4, m) array; ``scratch`` needs phi.size / 2.
 
-    With ``quad = phi.reshape(4, 2**(n-k-1), 2, 2**k)`` the probe-k bit is
-    axis 2, so (b=1, probe=0) is ``quad[s | 1, :, 0]`` and its partner
-    (b=0, probe=1) is ``quad[s, :, 1]`` for each a-bit row pair s in {0, 2};
-    ``quad[1::2, :, 0]`` and ``quad[0::2, :, 1]`` hold both pairs at once.
+    ``cg`` and ``isg`` are the two values of ``_kick_constants``, each a
+    scalar or a (trials, 1, 1, 1) column.  With
+    ``quad = phi.reshape(..., 4, 2**(n-k-1), 2, 2**k)`` the probe-k bit is
+    the second axis from the end, so (b=1, probe=0) is
+    ``quad[..., s | 1, :, 0, :]`` and its partner (b=0, probe=1) is
+    ``quad[..., s, :, 1, :]`` for each a-bit row pair s in {0, 2};
+    ``quad[..., 1::2, :, 0, :]`` and ``quad[..., 0::2, :, 1, :]`` hold both
+    pairs at once.
     """
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
-    n_probes = phi.shape[1].bit_length() - 1
+    n_probes = phi.shape[-1].bit_length() - 1
     if not 0 <= probe_index < n_probes:
         raise IndexError(f"probe index {probe_index} out of range for {n_probes} probes")
-    cg = math.cos(g)
-    isg = 1j * math.sin(g)
-    shape = (4, 2 ** (n_probes - probe_index - 1), 2, 2**probe_index)
+    shape = (*phi.shape[:-1], 2 ** (n_probes - probe_index - 1), 2, 2**probe_index)
     quad = phi.reshape(shape)  # splitting one axis never copies, so writes land in phi
-    x = quad[1::2, :, 0]  # b excited, probe ground
-    y = quad[0::2, :, 1]  # b ground, probe excited
-    size = phi.shape[1]
-    t1 = scratch[:size].reshape(x.shape)
-    t2 = scratch[size : 2 * size].reshape(x.shape)
+    x = quad[..., 1::2, :, 0, :]  # b excited, probe ground
+    y = quad[..., 0::2, :, 1, :]  # b ground, probe excited
+    t1 = scratch[: x.size].reshape(x.shape)
+    t2 = scratch[x.size : 2 * x.size].reshape(x.shape)
     np.multiply(cg, x, out=t1)
     np.multiply(isg, y, out=t2)
     np.subtract(t1, t2, out=t1)
@@ -202,7 +233,8 @@ def free_step(state: FullState, dt: float, params: SystemParams) -> FullState:
     (eigenvalue 0) and |1,1> (eps_a + eps_b).
     """
     psi = state.amps.reshape(-1, 4).copy()
-    _free_step_in_place(psi.T, dt, params, np.empty(psi.size // 2, dtype=np.complex128))
+    constants = _free_constants(dt, params)
+    _free_step_in_place(psi.T, constants, np.empty(psi.size // 2, dtype=np.complex128))
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -215,45 +247,36 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     directly (instead of exponentiating a matrix) keeps the kick exactly
     unitary and exactly the identity where the exchange generator vanishes.
     """
+    cg, isg = _kick_constants(g)
     psi = state.amps.reshape(-1, 4).copy()
-    _kick_in_place(psi.T, probe_index, g, np.empty(psi.size // 2, dtype=np.complex128))
+    scratch = np.empty(psi.size // 2, dtype=np.complex128)
+    _kick_in_place(psi.T, probe_index, cg, isg, scratch)
     return FullState(psi.reshape(-1), state.n_probes)
 
 
-def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
-    """Full-space run of a kick schedule; kick k consumes fresh probe k.
+def _trial_constants(
+    kicks: tuple[tuple[float, float], ...], params: SystemParams
+) -> list[tuple[complex, ...]]:
+    """Per kick of one trial: the four constants of the free step before it, then its two.
 
-    Returns the populations sampled exactly like the reduced engine: the
-    uniform grid plus both one-sided records at each kick instant.  The dense
-    state moves only from kick to kick; every sample is read off the reduced
-    density matrix of the pair right after the latest kick before it.  Each
-    step runs on the live prefix of the working array, the probe states in
-    which no probe beyond the current kick is excited, so the dense work of
-    a run is O(2**n); see the module docstring.
+    Only kick 0 can fall at the current time, at t = 0, and the state is then
+    still exactly |1,0>, which the identity's 1 and 0 keep bit for bit.
     """
-    if len(schedule.kicks) > MAX_PROBES:
-        raise CapacityError(
-            f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
-        )
-    phi = np.zeros((4, 2 ** len(schedule.kicks)), dtype=np.complex128)
-    phi[2, 0] = 1.0  # |1,0> with every probe in its ground state
-    scratch = np.empty(phi.size // 2, dtype=np.complex128)
-    live = phi[:, :1]  # before kick k only probe states below 2**k hold weight
-    pops = [_populations(live)]  # per anchor: p00, p01 = B, p10 = A, p11
-    cross = [_coherence(live, scratch)]  # per anchor: C = sum of x10 conj(x01)
-    now = 0.0
-    for index, (t_kick, g) in enumerate(schedule.kicks):
-        if t_kick > now:
-            _free_step_in_place(live, t_kick - now, params, scratch)
-            now = t_kick
-        live = phi[:, : 2 ** (index + 1)]
-        _kick_in_place(live, index, g, scratch)
-        pops.append(_populations(live))
-        cross.append(_coherence(live, scratch))
+    now, rows = 0.0, []
+    for t, g in kicks:
+        free = _free_constants(t - now, params) if t > now else _IDENTITY
+        rows.append((*free, *_kick_constants(g)))
+        now = t
+    return rows
 
+
+def _sampled(
+    schedule: KickSchedule, params: SystemParams, pops: np.ndarray, cross: np.ndarray
+) -> Trajectory:
+    """A run's trajectory from its anchors' ``pops`` (kicks + 1, 4) and ``cross``."""
     t, idx, u = _sample_blocks(schedule, params)
-    p00, w01, w10, p11 = np.array(pops)[idx].T
-    c = np.array(cross)[idx]
+    p00, w01, w10, p11 = pops[idx].T
+    c = cross[idx]
 
     def weight(row: int) -> np.ndarray:
         """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""
@@ -266,3 +289,85 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
 
     p10, p01 = weight(0), weight(1)
     return Trajectory(t, p10, p01, p00, p10 + p01 + p00 + p11)
+
+
+def _check_capacity(schedule: KickSchedule) -> None:
+    if len(schedule.kicks) > MAX_PROBES:
+        raise CapacityError(
+            f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
+        )
+
+
+def _run_batch(schedules: list[KickSchedule], params: SystemParams) -> list[Trajectory]:
+    """Full-space runs of schedules with one kick count, as the trials of one working array."""
+    trials, n = len(schedules), len(schedules[0].kicks)
+    rows = [_trial_constants(schedule.kicks, params) for schedule in schedules]
+    if trials == 1:
+        # No trial axis and Python scalars: the numpy calls of a lone run.  A
+        # (1, 4, m) array with (1, 1) columns made 15- and 16-probe runs 6% slower.
+        shape = (4, 2**n)
+        free = [row[:4] for row in rows[0]]
+        rotations = [row[4:] for row in rows[0]]
+    else:
+        shape = (trials, 4, 2**n)
+        table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
+        free = table[:, :4, :, None]  # per kick: four (trials, 1) columns
+        rotations = table[:, 4:, :, None, None, None]  # per kick: two (trials, 1, 1, 1)
+    phi = np.zeros(shape, dtype=np.complex128)
+    phi[..., 2, 0] = 1.0  # |1,0> with every probe in its ground state
+    scratch = np.empty(phi.size // 2, dtype=np.complex128)
+    live = phi[..., :1]  # before kick k only probe states below 2**k hold weight
+    weights, coherence = _read_anchor(live, scratch)
+    pops, cross = [weights], [coherence]  # per anchor: p00, p01 = B, p10 = A, p11; and C
+    for index in range(n):
+        _free_step_in_place(live, free[index], scratch)
+        live = phi[..., : 2 ** (index + 1)]
+        _kick_in_place(live, index, *rotations[index], scratch)
+        weights, coherence = _read_anchor(live, scratch)
+        pops.append(weights)
+        cross.append(coherence)
+    pops = np.array(pops).reshape(n + 1, trials, 4).transpose(1, 0, 2)
+    cross = np.array(cross).reshape(n + 1, trials).T
+    return [_sampled(s, params, p, c) for s, p, c in zip(schedules, pops, cross)]
+
+
+def run_schedules(schedules: Iterable[KickSchedule], params: SystemParams) -> list[Trajectory]:
+    """Full-space runs of many kick schedules, returned in input order.
+
+    Schedules with the same kick count step through the dense kernels
+    together, as the trials of one working array, at most
+    ``BATCH_AMPLITUDES`` amplitudes and never fewer than one trial at a time.
+    Each trajectory is bit for bit what a run of its schedule alone gives:
+    every product runs along one row of one trial, with that trial's
+    constants, computed one trial at a time on Python scalars.
+    """
+    schedules = list(schedules)
+    groups: dict[int, list[int]] = {}
+    for position, schedule in enumerate(schedules):
+        _check_capacity(schedule)
+        groups.setdefault(len(schedule.kicks), []).append(position)
+    trajectories: dict[int, Trajectory] = {}
+    for n, members in groups.items():
+        per_batch = max(1, BATCH_AMPLITUDES // (4 * 2**n))
+        for lo in range(0, len(members), per_batch):
+            batch = members[lo : lo + per_batch]
+            for i, trajectory in zip(batch, _run_batch([schedules[i] for i in batch], params)):
+                trajectories[i] = trajectory
+    return [trajectories[i] for i in range(len(schedules))]
+
+
+def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
+    """Full-space run of a kick schedule; kick k consumes fresh probe k.
+
+    Returns the populations sampled exactly like the reduced engine: the
+    uniform grid plus both one-sided records at each kick instant.  The dense
+    state moves only from kick to kick; every sample is read off the reduced
+    density matrix of the pair right after the latest kick before it.  Each
+    step runs on the live prefix of the working array, the probe states in
+    which no probe beyond the current kick is excited, so the dense work of
+    a run is O(2**n); see the module docstring.  This is the one-schedule
+    case of ``run_schedules``: a batch of one trial.
+    """
+    _check_capacity(schedule)
+    (trajectory,) = _run_batch([schedule], params)
+    return trajectory

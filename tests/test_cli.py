@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import zenokick
-from zenokick import cli, engine
-from zenokick.core import KickSchedule, Trajectory
+from zenokick import cli, engine, oracle
+from zenokick.core import KickSchedule, SystemParams, Trajectory
 
 
 class TestParseNumber:
@@ -372,6 +373,39 @@ class TestOracleCheck:
 
         with pytest.raises(CapacityError):
             cli.cmd_oracle_check(config)
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_a_seed_draws_the_documented_trials(self, monkeypatch, seed):
+        # Redrawn here in the documented order: the kick count by ``choice``,
+        # then the sorted ``uniform`` times until they are distinct, then the
+        # ``uniform`` strengths, trial after trial.
+        trials, n_choices, total_time, resolution = 20, (0, 3, 7, 10), 1.3, 40
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(trials):
+            n = rng.choice(n_choices)
+            while True:
+                times = sorted(rng.uniform(0.0, total_time) for _ in range(n))
+                if all(a < b for a, b in zip(times, times[1:])):
+                    break
+            strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+            expected.append((tuple(zip(times, strengths)), total_time, resolution / total_time))
+        assert len({len(kicks) for kicks, _, _ in expected}) == len(n_choices)
+
+        calls = []
+        run_schedules = oracle.run_schedules
+
+        def capture(schedules, params):
+            calls.append(list(schedules))
+            return run_schedules(calls[-1], params)
+
+        monkeypatch.setattr(oracle, "run_schedules", capture)
+        dev = cli.oracle_engine_deviation(
+            trials, n_choices, total_time, resolution, seed, SystemParams()
+        )
+        assert dev <= cli.ORACLE_CHECK_TOLERANCE
+        (drawn,) = calls
+        assert [(s.kicks, s.total_time, s.sample_resolution) for s in drawn] == expected
 
 
 class TestCmdRates:

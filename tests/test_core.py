@@ -308,6 +308,12 @@ class TestStateAndTrajectoryValidation:
         with pytest.raises(ValueError):
             check_populations(*args)
 
+    def test_trajectory_rejects_a_nan_time(self):
+        t = np.array([0.0, math.nan, 1.0])
+        one = np.ones(3)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Trajectory(t, one, 0 * one, 0 * one, one)
+
     def test_trajectory_rejects_time_reversal(self):
         t = np.array([0.0, -0.5])
         one = np.array([1.0, 1.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zenokick import engine, oracle
-from zenokick.core import KickSchedule, SystemParams, schedule_steps
+from zenokick.core import KickSchedule, ReducedState, SystemParams, schedule_steps
 
 RESONANT = SystemParams()
 DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
@@ -144,6 +144,19 @@ class TestFinalState:
         monkeypatch.setattr(engine, "_kick", leaky_kick)
         with pytest.raises(ValueError, match="drifted"):
             engine.final_state(((0.5, 1.0),), 1.0, RESONANT)
+
+    def test_inflated_survivor_fails_the_population_guard(self, monkeypatch):
+        # |a| grows by 4e-11: the total weight stays inside its 1e-10 guard,
+        # but P10 passes 1 by 8e-11, beyond the populations' 1e-12 of slack.
+        def inflating_kick(a, b, v, g):
+            leak = (b.real**2 + b.imag**2) * math.sin(g) ** 2
+            return a * (1.0 + 4e-11), b * math.cos(g), v + leak
+
+        monkeypatch.setattr(engine, "_kick", inflating_kick)
+        state = ReducedState(1.0 + 4e-11, 0.0, 0.0)
+        assert abs(state.norm - 1.0) <= 1e-10
+        with pytest.raises(ValueError, match=r"populations must lie in \[0, 1\]"):
+            engine.final_state(((0.0, 1.0),), 0.0, RESONANT)
 
 
 class TestEquallySpaced:

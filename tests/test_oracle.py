@@ -276,6 +276,8 @@ class TestRunSchedule:
         schedule = KickSchedule(tuple((float(t), 1.0) for t in times), 1.0, 0.0)
         with pytest.raises(CapacityError):
             oracle.run_schedule(schedule, RESONANT)
+        with pytest.raises(CapacityError):
+            oracle.run_schedules([KickSchedule((), 1.0, 0.0), schedule], RESONANT)
 
     def test_norm_stays_one(self):
         rng = np.random.default_rng(23)
@@ -301,19 +303,22 @@ class TestRunSchedule:
 
     def test_uses_no_blas(self, monkeypatch):
         # OpenBLAS can stall for milliseconds starting its threads, so a dense
-        # run reads its anchors without any BLAS dot.
+        # run reads its anchors without any BLAS dot, alone or in a batch.
         schedule = KickSchedule(TWELVE_KICKS, 1.3, 20.0)
         t, rows = public_fold(schedule, DETUNED)
+        others = [KickSchedule(TWELVE_KICKS[:k], 1.3, 20.0) for k in (12, 11, 3)]
 
         def no_blas(*args, **kwargs):
             raise AssertionError("dense run called a BLAS dot")
 
         for name in ("vdot", "dot", "inner"):
             monkeypatch.setattr(np, name, no_blas)
-        traj = oracle.run_schedule(schedule, DETUNED)
-        np.testing.assert_array_equal(traj.t, t)
-        for column, attr in enumerate(("p10", "p01", "pvac", "norm")):
-            assert np.max(np.abs(getattr(traj, attr) - rows[:, column])) <= 1e-15
+        alone = oracle.run_schedule(schedule, DETUNED)
+        batched = oracle.run_schedules([others[0], schedule, *others[1:]], DETUNED)[1]
+        for traj in (alone, batched):
+            np.testing.assert_array_equal(traj.t, t)
+            for column, attr in enumerate(("p10", "p01", "pvac", "norm")):
+                assert np.max(np.abs(getattr(traj, attr) - rows[:, column])) <= 1e-15
 
     def test_matches_reduced_engine_at_capacity(self):
         # The widest run the dense path accepts, held to criterion 1's bound.
@@ -375,17 +380,87 @@ class TestLivePrefix:
     def test_kernels_on_a_prefix_view_write_through(self, width):
         # A column prefix keeps the parent's row stride; the kernels must
         # step it in place exactly as they step a contiguous copy of it.
+        # Three trials, each with its own constants, as run_schedules steps them.
         rng = np.random.default_rng(43 + width)
-        n_probes = 5
-        phi = rng.normal(size=(4, 2**n_probes)) + 1j * rng.normal(size=(4, 2**n_probes))
+        shape = (3, 4, 2**5)
+        phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         scratch = np.empty(phi.size // 2, dtype=np.complex128)
-        steps = [lambda a, p=p: oracle._free_step_in_place(a, 0.37, p, scratch)
-                 for p in (RESONANT, DETUNED)]
-        steps += [lambda a, k=k: oracle._kick_in_place(a, k, 1.1, scratch) for k in range(width)]
+        steps = []
+        for p in (RESONANT, DETUNED):
+            constants = [oracle._free_constants(dt, p) for dt in (0.37, 0.0, 1.9)]
+            columns = np.array(constants).T[:, :, None]
+            steps.append(lambda a, c=columns: oracle._free_step_in_place(a, c, scratch))
+        cg, isg = np.array([oracle._kick_constants(g) for g in (1.1, 0, 4)]).T[:, :, None, None, None]
+        steps += [
+            lambda a, k=k: oracle._kick_in_place(a, k, cg, isg, scratch) for k in range(width)
+        ]
         for step in steps:
             before = phi.copy()
-            expected = phi[:, : 2**width].copy()
+            expected = phi[:, :, : 2**width].copy()
             step(expected)
-            step(phi[:, : 2**width])
-            np.testing.assert_array_equal(phi[:, : 2**width], expected)
-            np.testing.assert_array_equal(phi[:, 2**width :], before[:, 2**width :])
+            step(phi[:, :, : 2**width])
+            np.testing.assert_array_equal(phi[:, :, : 2**width], expected)
+            np.testing.assert_array_equal(phi[:, :, 2**width :], before[:, :, 2**width :])
+
+
+def trajectory_bytes(traj):
+    return [getattr(traj, attr).tobytes() for attr in ("t", "p10", "p01", "pvac", "norm")]
+
+
+def random_schedules(rng, count, max_kicks, total_time=1.3):
+    """Schedules of 0 to ``max_kicks`` kicks, with kicks at 0 and T and g = 0 and pi among them."""
+    schedules = []
+    for i in range(count):
+        n = int(rng.integers(0, max_kicks + 1))
+        times = np.sort(rng.uniform(0.0, total_time, n))
+        if n and i % 3 == 0:
+            times[0] = 0.0
+        if n and i % 4 == 1:
+            times[-1] = total_time
+        gs = rng.uniform(0.0, 2 * math.pi, n)
+        if n > 1:
+            gs[int(rng.integers(n))] = (0.0, math.pi)[i % 2]
+        resolution = (0.0, 20.0, 200.0)[i % 3]
+        schedules.append(KickSchedule(tuple(zip(times, gs)), total_time, resolution))
+    return schedules
+
+
+class TestRunSchedules:
+    """Many schedules stepped together give exactly what one run each gives."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [RESONANT, DETUNED, SystemParams(coupling=0.7, eps_a=-0.9, eps_b=0.35)],
+        ids=["resonant", "detuned", "detuned-weak"],
+    )
+    def test_equals_one_run_per_schedule_in_input_order(self, params):
+        rng = np.random.default_rng(61)
+        schedules = random_schedules(rng, 60, 12)
+        schedules += [KickSchedule(TWELVE_KICKS[:k], 1.3, 20.0) for k in (12, 0, 5)]
+        counts = {len(s.kicks) for s in schedules}
+        assert counts == set(range(13))
+        trajectories = oracle.run_schedules(schedules, params)
+        assert len(trajectories) == len(schedules)
+        for schedule, traj in zip(schedules, trajectories):
+            alone = oracle.run_schedule(schedule, params)
+            assert trajectory_bytes(traj) == trajectory_bytes(alone)
+
+    def test_a_group_larger_than_one_batch(self):
+        # 17 probes are 2**19 amplitudes a trial: three trials make a batch of
+        # two and one of one.
+        n = 17
+        assert 4 * 2**n * 2 == oracle.BATCH_AMPLITUDES
+        rng = np.random.default_rng(67)
+        schedules = []
+        for _ in range(3):
+            times = np.sort(rng.uniform(0.0, 1.0, n))
+            gs = rng.uniform(0.0, math.pi, n)
+            schedules.append(KickSchedule(tuple(zip(times, gs)), 1.0, 20.0))
+        schedules.insert(1, KickSchedule(((0.5, 1.0),), 1.0, 20.0))
+        trajectories = oracle.run_schedules(schedules, DETUNED)
+        for schedule, traj in zip(schedules, trajectories):
+            alone = oracle.run_schedule(schedule, DETUNED)
+            assert trajectory_bytes(traj) == trajectory_bytes(alone)
+
+    def test_no_schedules(self):
+        assert oracle.run_schedules([], RESONANT) == []
