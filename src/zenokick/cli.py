@@ -48,7 +48,14 @@ from .analytics import (
     rate_super_zeno,
     survival_function,
 )
-from .core import CapacityError, KickSchedule, OffResonanceError, SystemParams, Trajectory
+from .core import (
+    CapacityError,
+    KickSchedule,
+    OffResonanceError,
+    SystemParams,
+    Trajectory,
+    _sample_layout,
+)
 
 __all__ = [
     "ConfigError",
@@ -564,9 +571,11 @@ def oracle_engine_deviation(
     times are redrawn until they are distinct; a ValueError is raised if
     ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
     drawn before any is run, in that order, so a seed gives the same trials
-    however they are run.  The dense side runs all of them in one
-    ``oracle.run_schedules`` call, which steps the trials of each kick count
-    together; each is then compared with its own ``engine.run_schedule``.
+    however they are run.  They then run in the batches of
+    ``oracle.run_schedules``, one kick count at a time: each batch gets one
+    ``core._sample_layout``, both paths sample their trials on it, and the
+    batch is compared and dropped before the next one runs, so only one
+    batch's trajectories are held at a time.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -598,11 +607,15 @@ def oracle_engine_deviation(
         strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
         schedules.append(KickSchedule(tuple(zip(times, strengths)), total_time, per_unit))
     worst = 0.0
-    for schedule, dense in zip(schedules, oracle.run_schedules(schedules, params)):
-        reduced = engine.run_schedule(schedule, params)
-        for attr in ("p10", "p01", "pvac"):
-            dev = float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))
-            worst = max(worst, dev)
+    for batch in oracle._batches(schedules):
+        members = [schedules[i] for i in batch]
+        layout = _sample_layout(members, params)
+        pairs = zip(engine._run_batch(members, params, layout),
+                    oracle._run_batch(members, params, layout))
+        for reduced, dense in pairs:
+            for attr in ("p10", "p01", "pvac"):
+                dev = float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))
+                worst = max(worst, dev)
     return worst
 
 

@@ -283,8 +283,8 @@ def apply_kick(state: ReducedState, g: float) -> ReducedState:
 def schedule_steps(schedule: KickSchedule) -> list[tuple]:
     """Flatten a schedule into ("advance", dt) / ("sample", t) / ("kick", k, g) steps.
 
-    A step-by-step reference for the sample layout that ``_sample_blocks``
-    builds with numpy for both sampled runs; the tests hold it to this list.
+    A step-by-step reference for the sample layout that ``_sample_layout``
+    builds with numpy for both sampled paths; the tests hold it to this list.
     """
     grid = schedule.sample_grid()
     n_grid = len(grid)
@@ -316,39 +316,73 @@ def schedule_steps(schedule: KickSchedule) -> list[tuple]:
     return steps
 
 
-def _sample_blocks(
-    schedule: KickSchedule, params: SystemParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample times, their anchors and the free blocks from anchor to sample.
+def _sample_layout(
+    schedules: list[KickSchedule], params: SystemParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The samples of a batch of runs, laid out as one flat array for both sampled paths.
 
-    The samples are the uniform ``sample_grid`` plus a pre- and a post-kick
-    record at every kick time, in time order; a grid point that coincides
-    with a kick is represented by that pair, so sample times are only
-    non-decreasing.  Anchor k is the state right after the first k kicks, at
-    time 0 for k = 0 and at kick k's time otherwise; ``idx`` holds the anchor
-    of each sample, the number of kicks applied before it, so a pre-kick
-    record still belongs to the anchor before its kick.  ``u[:, :, i]`` is
-    the block of ``_block_entries`` over the time from sample i's anchor to it,
-    built from ``block_minus_identity``.  ``engine.run_schedule`` and
+    The schedules must share one kick count n and one sample grid (one
+    ``total_time`` and ``sample_resolution``); a single schedule is a batch
+    of one.  A run's samples are the uniform ``sample_grid`` plus a pre- and
+    a post-kick record at every kick time, in time order; a grid point that
+    coincides with a kick is represented by that pair, so sample times are
+    only non-decreasing.  Anchor k of a run is its state right after its
+    first k kicks, at time 0 for k = 0 and at kick k's time otherwise, so a
+    pre-kick record still belongs to the anchor before its kick.
+
+    Returns the flat sample times ``t``; ``anchor``, each sample's index
+    into the batch's trials x (n + 1) anchors (run r's anchor k is
+    r * (n + 1) + k); ``u``, where ``u[:, :, i]`` is the block of
+    ``_block_entries`` over the time from sample i's anchor to it, from one
+    ``block_minus_identity`` call; and ``offsets``, so that run r owns the
+    samples ``offsets[r]:offsets[r + 1]``.  Each run's slice is bit for bit
+    the layout of its schedule alone.  ``engine.run_schedule`` and
     ``oracle.run_schedule`` both sample this way, which makes their
     trajectories comparable sample by sample; ``schedule_steps`` lists the
     same layout step by step.
+
+    Only exact integer and equality steps place the samples.  The kicks are
+    searched in the shared grid, and a ``bincount`` and ``cumsum`` of their
+    positions count the kicks at or before each grid point.  Each trial
+    first gets a row of every grid point and two records per kick; then the
+    grid points that equal a kick are dropped.  Any grid that fits in memory
+    is strictly increasing, so a kick equals at most the grid point at its
+    position, whose slot follows the kick's post-kick record.
     """
-    kick_t = np.array([t for t, _ in schedule.kicks], dtype=float) + 0.0  # -0.0 becomes 0.0
-    grid = schedule.sample_grid()
-    before = np.searchsorted(kick_t, grid, side="right")  # kicks at or before each point
-    keep = np.searchsorted(kick_t, grid, side="left") == before
-    grid, before = grid[keep], before[keep]
+    first = schedules[0]
+    n, grid = len(first.kicks), first.sample_grid()
+    if any(
+        len(s.kicks) != n
+        or s.total_time != first.total_time
+        or s.sample_resolution != first.sample_resolution
+        for s in schedules
+    ):
+        raise ValueError("a sample layout needs one kick count and one sample grid")
+    trials, points, width = len(schedules), len(grid), len(grid) + 2 * n
+    # (trials, n), also for n = 0; -0.0 becomes 0.0
+    kick_t = np.array([[t for t, _ in s.kicks] for s in schedules], dtype=float) + 0.0
+    pos = np.searchsorted(grid, kick_t)  # first grid point at or after each kick
+    cell = np.arange(0, trials * points, points)[:, None] + pos
+    before = np.bincount(cell.ravel(), minlength=trials * points).reshape(trials, points)
+    before = before.cumsum(axis=1)  # kicks at or before each grid point
+    hit = grid[pos] == kick_t
     # Each record is preceded by every earlier grid point and two records per earlier kick.
-    kicks = np.arange(len(kick_t))
-    at_grid = np.arange(len(grid)) + 2 * before
-    at_pre = np.searchsorted(grid, kick_t) + 2 * kicks
-    t = np.empty(len(grid) + 2 * len(kick_t))
-    idx = np.empty(len(t), dtype=np.intp)
-    t[at_grid], idx[at_grid] = grid, before
-    t[at_pre], idx[at_pre] = kick_t, kicks
-    t[at_pre + 1], idx[at_pre + 1] = kick_t, kicks + 1
-    u = block_minus_identity(t - np.concatenate(([0.0], kick_t))[idx], params)
+    row = np.arange(0, trials * width, width)[:, None]
+    at_grid = row + np.arange(points) + 2 * before
+    at_pre = row + pos + 2 * np.arange(n)
+    first_anchor = np.arange(0, trials * (n + 1), n + 1)[:, None]
+    kick_anchor = first_anchor + np.arange(n)
+    t = np.empty(trials * width)
+    anchor = np.empty(len(t), dtype=np.intp)
+    t[at_grid], anchor[at_grid] = grid, first_anchor + before
+    t[at_pre], anchor[at_pre] = kick_t, kick_anchor
+    t[at_pre + 1], anchor[at_pre + 1] = kick_t, kick_anchor + 1
+    keep = np.ones(len(t), dtype=bool)
+    keep[(at_pre + 2)[hit]] = False
+    t, anchor = t[keep], anchor[keep]
+    offsets = np.concatenate(([0], np.cumsum(width - hit.sum(axis=1))))
+    anchor_t = np.concatenate((np.zeros((trials, 1)), kick_t), axis=1).ravel()
+    u = block_minus_identity(t - anchor_t[anchor], params)
     u[0, 0] += 1.0
     u[1, 1] += 1.0
-    return t, idx, u
+    return t, anchor, u, offsets.tolist()

@@ -38,12 +38,13 @@ of one trial drops the trial axis, ``phi[s, m]`` with shape ``(4, 2**n)``,
 and passes its constants as the scalars themselves; the kernels index from
 the last axis (``phi[..., s, :]``), so they take either shape.
 
-``run_schedules`` groups its schedules by kick count and steps each group
-together, at most ``BATCH_AMPLITUDES`` amplitudes (but never fewer than one
-trial) to a working array; ``run_schedule`` is its one-schedule case.  Each
-batch allocates one zeroed working array and one scratch buffer of
-``phi.size // 2`` slots.  The public ``free_step`` and ``kick`` copy the
-state, run the same kernel on the copy and return a fresh ``FullState``.
+``run_schedules`` groups its schedules by kick count and sample grid and
+steps each group together, at most ``BATCH_AMPLITUDES`` amplitudes (but
+never fewer than one trial) to a working array; ``run_schedule`` is its
+one-schedule case.  Each batch allocates one zeroed working array and one
+scratch buffer of ``phi.size // 2`` slots.  The public ``free_step`` and
+``kick`` copy the state, run the same kernel on the copy and return a fresh
+``FullState``.
 
 Sampling a run
 --------------
@@ -60,7 +61,11 @@ with row 1 of u, and ``Pvac = p00``.  The samples cost only vector
 arithmetic, and each is one closed-form step from its anchor, so rounding
 does not grow with the number of samples.  The sample times, the anchor
 that owns each sample and each sample's block u come from
-``core._sample_blocks``, which describes the layout.
+``core._sample_layout``, which lays out every trial of a batch as one flat
+array: each batch is sampled in one pass over the flat anchor weights and
+coherences, trial r's anchor k at row r * (n + 1) + k.  The engine samples
+on the same layout, so ``cli.oracle_engine_deviation`` builds one layout
+per batch for both paths.
 
 Kick k consumes fresh probe k, and only kick j moves probe bit j, so before
 kick k every amplitude with a probe bit at or above k is exactly zero.  The
@@ -87,7 +92,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -97,7 +102,7 @@ from .core import (
     SystemParams,
     Trajectory,
     _block_entries,
-    _sample_blocks,
+    _sample_layout,
 )
 
 __all__ = [
@@ -270,27 +275,6 @@ def _trial_constants(
     return rows
 
 
-def _sampled(
-    schedule: KickSchedule, params: SystemParams, pops: np.ndarray, cross: np.ndarray
-) -> Trajectory:
-    """A run's trajectory from its anchors' ``pops`` (kicks + 1, 4) and ``cross``."""
-    t, idx, u = _sample_blocks(schedule, params)
-    p00, w01, w10, p11 = pops[idx].T
-    c = cross[idx]
-
-    def weight(row: int) -> np.ndarray:
-        """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""
-        u0, u1 = u[row, 0], u[row, 1]
-        return (
-            (u0.real**2 + u0.imag**2) * w10
-            + (u1.real**2 + u1.imag**2) * w01
-            + 2.0 * (u0 * u1.conj() * c).real
-        )
-
-    p10, p01 = weight(0), weight(1)
-    return Trajectory(t, p10, p01, p00, p10 + p01 + p00 + p11)
-
-
 def _check_capacity(schedule: KickSchedule) -> None:
     if len(schedule.kicks) > MAX_PROBES:
         raise CapacityError(
@@ -298,8 +282,8 @@ def _check_capacity(schedule: KickSchedule) -> None:
         )
 
 
-def _run_batch(schedules: list[KickSchedule], params: SystemParams) -> list[Trajectory]:
-    """Full-space runs of schedules with one kick count, as the trials of one working array."""
+def _run_batch(schedules: list[KickSchedule], params: SystemParams, layout) -> list[Trajectory]:
+    """Full-space runs of one batch of ``_batches``, sampled on its ``core._sample_layout``."""
     trials, n = len(schedules), len(schedules[0].kicks)
     rows = [_trial_constants(schedule.kicks, params) for schedule in schedules]
     if trials == 1:
@@ -326,34 +310,67 @@ def _run_batch(schedules: list[KickSchedule], params: SystemParams) -> list[Traj
         weights, coherence = _read_anchor(live, scratch)
         pops.append(weights)
         cross.append(coherence)
-    pops = np.array(pops).reshape(n + 1, trials, 4).transpose(1, 0, 2)
-    cross = np.array(cross).reshape(n + 1, trials).T
-    return [_sampled(s, params, p, c) for s, p, c in zip(schedules, pops, cross)]
+    # Flat anchors, trial by trial: trial r's anchor k is row r * (n + 1) + k.
+    pops = np.array(pops).reshape(n + 1, trials, 4).transpose(1, 0, 2).reshape(-1, 4)
+    cross = np.array(cross).reshape(n + 1, trials).T.ravel()
+    t, anchor, u, offsets = layout
+    p00, w01, w10, p11 = pops[anchor].T
+    c = cross[anchor]
+
+    def weight(row: int) -> np.ndarray:
+        """Sum over the probes of |u[row, 0] x10 + u[row, 1] x01|^2."""
+        u0, u1 = u[row, 0], u[row, 1]
+        return (
+            (u0.real**2 + u0.imag**2) * w10
+            + (u1.real**2 + u1.imag**2) * w01
+            + 2.0 * (u0 * u1.conj() * c).real
+        )
+
+    p10, p01 = weight(0), weight(1)
+    norm = p10 + p01 + p00 + p11
+    return [
+        Trajectory(t[lo:hi], p10[lo:hi], p01[lo:hi], p00[lo:hi], norm[lo:hi])
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
+def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
+    """Positions of the schedules, grouped into the batches ``run_schedules`` steps together.
+
+    A batch shares one kick count and one sample grid, and holds at most
+    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial.  Every
+    schedule's capacity is checked before the first batch is yielded.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for position, schedule in enumerate(schedules):
+        _check_capacity(schedule)
+        key = (len(schedule.kicks), schedule.total_time, schedule.sample_resolution)
+        groups.setdefault(key, []).append(position)
+    for (n, *_), members in groups.items():
+        per_batch = max(1, BATCH_AMPLITUDES // (4 * 2**n))
+        for lo in range(0, len(members), per_batch):
+            yield members[lo : lo + per_batch]
 
 
 def run_schedules(schedules: Iterable[KickSchedule], params: SystemParams) -> list[Trajectory]:
     """Full-space runs of many kick schedules, returned in input order.
 
-    Schedules with the same kick count step through the dense kernels
-    together, as the trials of one working array, at most
-    ``BATCH_AMPLITUDES`` amplitudes and never fewer than one trial at a time.
-    Each trajectory is bit for bit what a run of its schedule alone gives:
-    every product runs along one row of one trial, with that trial's
-    constants, computed one trial at a time on Python scalars.
+    Schedules with the same kick count and sample grid step through the
+    dense kernels together, as the trials of one working array, at most
+    ``BATCH_AMPLITUDES`` amplitudes and never fewer than one trial at a
+    time, and each batch is sampled on one ``core._sample_layout``.  Each
+    trajectory is bit for bit what a run of its schedule alone gives: every
+    product runs along one row of one trial, with that trial's constants,
+    computed one trial at a time on Python scalars.
     """
     schedules = list(schedules)
-    groups: dict[int, list[int]] = {}
-    for position, schedule in enumerate(schedules):
-        _check_capacity(schedule)
-        groups.setdefault(len(schedule.kicks), []).append(position)
-    trajectories: dict[int, Trajectory] = {}
-    for n, members in groups.items():
-        per_batch = max(1, BATCH_AMPLITUDES // (4 * 2**n))
-        for lo in range(0, len(members), per_batch):
-            batch = members[lo : lo + per_batch]
-            for i, trajectory in zip(batch, _run_batch([schedules[i] for i in batch], params)):
-                trajectories[i] = trajectory
-    return [trajectories[i] for i in range(len(schedules))]
+    trajectories: list[Trajectory] = [None] * len(schedules)
+    for batch in _batches(schedules):
+        members = [schedules[i] for i in batch]
+        layout = _sample_layout(members, params)
+        for i, trajectory in zip(batch, _run_batch(members, params, layout)):
+            trajectories[i] = trajectory
+    return trajectories
 
 
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
@@ -369,5 +386,6 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     case of ``run_schedules``: a batch of one trial.
     """
     _check_capacity(schedule)
-    (trajectory,) = _run_batch([schedule], params)
+    batch = [schedule]
+    (trajectory,) = _run_batch(batch, params, _sample_layout(batch, params))
     return trajectory

@@ -392,20 +392,43 @@ class TestOracleCheck:
             expected.append((tuple(zip(times, strengths)), total_time, resolution / total_time))
         assert len({len(kicks) for kicks, _, _ in expected}) == len(n_choices)
 
-        calls = []
-        run_schedules = oracle.run_schedules
-
-        def capture(schedules, params):
-            calls.append(list(schedules))
-            return run_schedules(calls[-1], params)
-
-        monkeypatch.setattr(oracle, "run_schedules", capture)
+        drawn = self.capture_the_drawn_trials(monkeypatch)
         dev = cli.oracle_engine_deviation(
             trials, n_choices, total_time, resolution, seed, SystemParams()
         )
         assert dev <= cli.ORACLE_CHECK_TOLERANCE
-        (drawn,) = calls
         assert [(s.kicks, s.total_time, s.sample_resolution) for s in drawn] == expected
+
+    @staticmethod
+    def capture_the_drawn_trials(monkeypatch):
+        """The schedules the check hands to ``oracle._batches``, filled in when it runs."""
+        drawn = []
+        batches = oracle._batches
+
+        def capture(schedules):
+            assert not drawn, "the check groups its trials once"
+            drawn.extend(schedules)
+            return batches(schedules)
+
+        monkeypatch.setattr(oracle, "_batches", capture)
+        return drawn
+
+    @pytest.mark.parametrize("seed", [5, 77])
+    @pytest.mark.parametrize(
+        "params", [SystemParams(), SystemParams(1.3, 0.4, -0.2)], ids=["resonant", "detuned"]
+    )
+    def test_returns_the_largest_deviation_of_one_run_per_trial(self, monkeypatch, seed, params):
+        drawn = self.capture_the_drawn_trials(monkeypatch)
+        dev = cli.oracle_engine_deviation(30, (0, 1, 4, 9, 10), 1.1, 50, seed, params)
+        assert len(drawn) == 30 and len({len(s.kicks) for s in drawn}) > 1
+        expected = max(
+            float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))
+            for reduced, dense in (
+                (engine.run_schedule(s, params), oracle.run_schedule(s, params)) for s in drawn
+            )
+            for attr in ("p10", "p01", "pvac")
+        )
+        assert dev == expected
 
 
 class TestCmdRates:

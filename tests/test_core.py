@@ -19,7 +19,7 @@ from zenokick.core import (
     block_minus_identity,
     check_populations,
     free_propagate,
-    _sample_blocks,
+    _sample_layout,
     schedule_steps,
 )
 
@@ -259,22 +259,93 @@ SAMPLE_BLOCK_CASES = [
 ]
 
 
+def batch_around(schedule, seed):
+    """``schedule`` between two others with its kick count, sample grid and strengths."""
+    rng = np.random.default_rng(seed)
+    n, total_time = len(schedule.kicks), schedule.total_time
+    strengths = [g for _, g in schedule.kicks]
+
+    def other():
+        times = np.sort(rng.uniform(0.0, total_time, n)) if total_time > 0 else np.zeros(n)
+        return KickSchedule(tuple(zip(times, strengths)), total_time, schedule.sample_resolution)
+
+    return [other(), schedule, other()]
+
+
 @pytest.mark.parametrize("schedule", SAMPLE_BLOCK_CASES)
 def test_sample_blocks_follow_the_step_list(schedule):
-    t, idx, u = _sample_blocks(schedule, RESONANT)
-    samples, anchors, kicks = [], [], 0
-    for step in schedule_steps(schedule):
-        if step[0] == "kick":
-            kicks += 1
-        elif step[0] == "sample":
-            samples.append(step[1])
-            anchors.append(kicks)
-    assert t.tobytes() == np.array(samples).tobytes()
-    np.testing.assert_array_equal(idx, anchors)
-    anchor_t = np.array([0.0, *(t_kick for t_kick, _ in schedule.kicks)])
-    for i in range(len(t)):
-        block = single_excitation_block(t[i] - anchor_t[idx[i]], RESONANT)
-        np.testing.assert_allclose(u[:, :, i], block, rtol=0, atol=1e-15)
+    batch = batch_around(schedule, 7)
+    t, anchor, u, offsets = _sample_layout(batch, RESONANT)
+    assert offsets[0] == 0 and offsets[-1] == len(t) == len(anchor) == u.shape[2]
+    for trial, member in enumerate(batch):
+        samples, anchors, kicks = [], [], 0
+        for step in schedule_steps(member):
+            if step[0] == "kick":
+                kicks += 1
+            elif step[0] == "sample":
+                samples.append(step[1])
+                anchors.append(kicks)
+        own = slice(offsets[trial], offsets[trial + 1])
+        assert t[own].tobytes() == np.array(samples).tobytes()
+        first = trial * (len(member.kicks) + 1)
+        np.testing.assert_array_equal(anchor[own] - first, anchors)
+        anchor_t = np.array([0.0, *(t_kick for t_kick, _ in member.kicks)])
+        for i in range(own.start, own.stop):
+            block = single_excitation_block(t[i] - anchor_t[anchor[i] - first], RESONANT)
+            np.testing.assert_allclose(u[:, :, i], block, rtol=0, atol=1e-15)
+
+
+GRID_40 = KickSchedule((), 1.0, 40.0).sample_grid()
+LAYOUT_BATCHES = {
+    # Grid-coincident kicks in some trials and not in others, kicks at 0,
+    # at -0.0 and at T, among trials with none of these.
+    "mixed-hits": (
+        ((GRID_40[7], 0.3, GRID_40[20]), 1.0, 40.0),
+        ((0.11, 0.5, 0.77), 1.0, 40.0),
+        ((0.0, GRID_40[8], 1.0), 1.0, 40.0),
+        ((-0.0, 0.4, 1.0), 1.0, 40.0),
+        ((0.01, 0.02, 0.03), 1.0, 40.0),
+    ),
+    "resolution-0": (
+        ((0.0, 0.5), 2.0, 0.0),
+        ((0.3, 2.0), 2.0, 0.0),
+        ((-0.0, 1.1), 2.0, 0.0),
+    ),
+    "T=0": (((0.0,), 0.0, 40.0), ((-0.0,), 0.0, 40.0), ((0.0,), 0.0, 40.0)),
+    "T=0-n=0": (((), 0.0, 0.0), ((), 0.0, 0.0)),
+    "n=0": (((), 1.0, 40.0), ((), 1.0, 40.0), ((), 1.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "params", [RESONANT, SystemParams(1.3, 0.4, -0.2)], ids=["resonant", "detuned"]
+)
+@pytest.mark.parametrize("batch", list(LAYOUT_BATCHES.values()), ids=list(LAYOUT_BATCHES))
+def test_each_trial_of_a_batch_is_laid_out_as_alone(batch, params):
+    schedules = [
+        KickSchedule(tuple((t, 1.0 + k) for k, t in enumerate(times)), total_time, resolution)
+        for times, total_time, resolution in batch
+    ]
+    t, anchor, u, offsets = _sample_layout(schedules, params)
+    for trial, schedule in enumerate(schedules):
+        alone_t, alone_anchor, alone_u, (start, stop) = _sample_layout([schedule], params)
+        own = slice(offsets[trial], offsets[trial + 1])
+        assert own.stop - own.start == stop - start == len(alone_t)
+        assert t[own].tobytes() == alone_t.tobytes()
+        first = trial * (len(schedule.kicks) + 1)
+        assert (anchor[own] - first).tobytes() == alone_anchor.tobytes()
+        assert np.ascontiguousarray(u[:, :, own]).tobytes() == alone_u.tobytes()
+
+
+def test_a_layout_refuses_a_mixed_batch():
+    one = KickSchedule(((0.5, 1.0),), 1.0, 40.0)
+    for other in (
+        KickSchedule((), 1.0, 40.0),
+        KickSchedule(((0.5, 1.0),), 2.0, 40.0),
+        KickSchedule(((0.5, 1.0),), 1.0, 20.0),
+    ):
+        with pytest.raises(ValueError, match="one kick count and one sample grid"):
+            _sample_layout([one, other], RESONANT)
 
 
 class TestStateAndTrajectoryValidation:

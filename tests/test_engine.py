@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,6 +295,44 @@ class TestSweep:
         # The duration given is the timing rule; there is no separate mode to name.
         with pytest.raises(TypeError):
             engine.sweep((1.0,), (1,), mode="sideways", total_time=1.0)
+
+
+def mpmath_loss(n, g, tau, params):
+    """1 - P10 after n periods diag(1, cos g) exp(-i H tau), from a 50-digit matrix power."""
+    with mpmath.workdps(50):
+        h = mpmath.matrix([[params.eps_a, params.coupling], [params.coupling, params.eps_b]])
+        period = mpmath.matrix([[1, 0], [0, mpmath.cos(g)]]) * mpmath.expm(-1j * h * tau)
+        return float(1 - abs((period**n)[0, 0]) ** 2)
+
+
+LOSS_PARAMS = [SystemParams(), SystemParams(1.0, 0.7, 0.7), SystemParams(1.3, 0.4, -0.2)]
+
+
+@pytest.mark.parametrize("params", LOSS_PARAMS, ids=["resonant", "common-energy", "detuned"])
+@pytest.mark.parametrize(
+    "timing", [{"total_time": math.pi / 2}, {"interval": 1e-9}], ids=["total", "interval"]
+)
+def test_the_loss_is_p01_plus_pvac_to_full_relative_precision(params, timing):
+    # 1 - p10 rounds away a loss below about 1e-16; p01 + pvac keeps it.
+    g_values = (0.3, math.pi / 4, math.pi / 2, 2.0, math.pi - 0.1)
+    n_values = (1, 2, 3, 7, 64, 1000, 2**20, 2**30)
+    cells = engine.sweep(g_values, n_values, params=params, **timing)
+    for cell in cells:
+        n = int(cell.n)
+        tau = timing["total_time"] / n if "total_time" in timing else timing["interval"]
+        expected = mpmath_loss(n, float(cell.g), tau, params)
+        assert cell.p01 + cell.pvac == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the doubling's norm drift grows with n when eps_a + eps_b != 0: "
+    "4.1e-11 at n = 2**30, tau = 1e-3, which leaves the loss 3.5e-11 off",
+)
+def test_the_loss_of_a_long_run_with_a_common_energy():
+    params, g, n, tau = SystemParams(1.0, 0.7, 0.7), math.pi - 0.1, 2**30, 1e-3
+    _, p01, pvac = engine.run_equally_spaced(n, g, interval=tau, params=params)
+    assert p01 + pvac == pytest.approx(mpmath_loss(n, g, tau, params), rel=1e-12, abs=0)
 
 
 class TestLargeKickCounts:
