@@ -118,7 +118,8 @@ def survival_function(
 
     Each evaluation runs the reduced path fresh, applying the kicks with time
     <= t (ties included; P10 is continuous at kick instants so the boundary
-    choice is invisible).  Repeated kick times mean back-to-back kicks.
+    choice is invisible): the fold and guard of ``engine.final_state``, on
+    plain scalars.  Repeated kick times mean back-to-back kicks.
     A non-finite kick time or strength raises ValueError here, not at the
     first evaluation.
     """
@@ -131,7 +132,8 @@ def survival_function(
         if not math.isfinite(t) or t < 0:
             raise ValueError(f"time must be finite and >= 0, got {t}")
         included = [(tm, g) for tm, g in sequence if tm <= t]
-        return engine.final_state(included, t, p).p10
+        a, _, _ = engine._final(included, t, p)
+        return a.real**2 + a.imag**2  # ``ReducedState.p10``
 
     return p10
 

@@ -182,16 +182,19 @@ def check_populations(p10, p01, pvac, norm) -> None:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 
-def _check_state(state: ReducedState) -> None:
-    """``check_populations`` on one reduced state, compared as Python floats.
+def _check_state(a: complex, b: complex, v: float) -> None:
+    """``check_populations`` on the reduced state (a, b, v), compared as Python floats.
 
     Same bounds, same messages in the same order, and NaN fails here too;
     building arrays from three floats would cost more than a short fold.
+    The populations are computed as ``ReducedState`` computes them.
     """
     low, high = -_POPULATION_SLACK, 1 + _POPULATION_SLACK
-    if not (low <= state.p10 <= high and low <= state.p01 <= high and low <= state.v <= high):
+    p10 = a.real**2 + a.imag**2
+    p01 = b.real**2 + b.imag**2
+    if not (low <= p10 <= high and low <= p01 <= high and low <= v <= high):
         raise ValueError("populations must lie in [0, 1]")
-    if not abs(state.norm - 1.0) <= _NORM_SLACK:
+    if not abs(p10 + p01 + v - 1.0) <= _NORM_SLACK:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
 
 

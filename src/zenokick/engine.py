@@ -14,6 +14,7 @@ once, in O(log n) numpy steps, and returns the cells as one record array.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,36 +81,34 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     of ``_run_batch``.
     """
     batch = [schedule]
-    (trajectory,) = _run_batch(batch, params, _sample_layout(batch, params))
-    return trajectory
+    return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))
 
 
 def _run_batch(
     schedules: list[KickSchedule], params: SystemParams, layout
-) -> list[Trajectory]:
+) -> tuple[np.ndarray, ...]:
     """Sampled runs of a batch of schedules on their shared ``core._sample_layout``.
 
     Each trial's anchors are folded on its own, on Python scalars; then the
     samples of every trial are propagated from their anchors in one pass.
-    Returns one ``Trajectory`` per schedule, views into the batch's arrays.
+    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
+    at the layout's ``offsets[r]:offsets[r + 1]``.  Nothing here guards
+    them: a caller wraps a trial's slices in a ``Trajectory``, or applies
+    the same rules to the whole batch at once.
     """
     anchors = []
     for schedule in schedules:
         anchors.append((1.0 + 0.0j, 0.0j, 0.0))
         anchors += (state for _, *state in _fold(schedule.kicks, schedule.total_time, params))
     a_anchor, b_anchor, v_anchor = (np.array(column) for column in zip(*anchors))
-    t, anchor, u, offsets = layout
+    t, anchor, u, _ = layout
     a0, b0 = a_anchor[anchor], b_anchor[anchor]
     a = u[0, 0] * a0 + u[0, 1] * b0
     b = u[1, 0] * a0 + u[1, 1] * b0
     p10 = a.real**2 + a.imag**2
     p01 = b.real**2 + b.imag**2
     pvac = v_anchor[anchor]
-    norm = p10 + p01 + pvac
-    return [
-        Trajectory(t[lo:hi], p10[lo:hi], p01[lo:hi], pvac[lo:hi], norm[lo:hi])
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
+    return t, p10, p01, pvac, p10 + p01 + pvac
 
 
 def final_state(
@@ -123,7 +122,18 @@ def final_state(
     strictly increasing) kick times: repeated times mean back-to-back kicks
     with no free evolution in between.  The returned state passes the
     population and norm guard of a ``Trajectory``; a ValueError is raised
-    otherwise.
+    otherwise.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
+    """
+    return ReducedState(*_final(kicks, total_time, params))
+
+
+def _final(
+    kicks: Iterable[tuple[float, float]], total_time: float, params: SystemParams
+) -> tuple[complex, complex, float]:
+    """``final_state`` as the plain scalars (a, b, v), guarded by ``core._check_state``.
+
+    Takes the same inputs and raises the same errors; a caller that wants
+    only a population skips building the frozen state.
     """
     if not math.isfinite(total_time) or total_time < 0:
         raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
@@ -132,9 +142,8 @@ def final_state(
         pass
     if total_time > now:
         a, b = _free_step(a, b, total_time - now, params)
-    state = ReducedState(a, b, v)
-    _check_state(state)
-    return state
+    _check_state(a, b, v)
+    return a, b, v
 
 
 def run_equally_spaced(
@@ -242,7 +251,15 @@ def _equally_spaced_populations(
     guard stays a real check.  Kick k + 1 leaks sin^2 g |(U M^k x0)_b|^2,
     so pvac = sin^2 g (S_n)_00 with S_n = sum_{k<n} (M^k)^dagger Q M^k and
     Q = U^dagger |b><b| U; it doubles as S_{p+r} = S_p + (M^p)^dagger S_r M^p.
+
+    U is taken with the mean energy (eps_a + eps_b) / 2 removed from both
+    qubits.  That only drops a global phase, which no population sees, but
+    the phase would put a rotation into D that the doubling squares for
+    nothing: the norm then drifted in proportion to n.  With eps_a + eps_b
+    = 0 the energies, and so every bit, stay as they are.
     """
+    mean = 0.5 * params.eps_a + 0.5 * params.eps_b  # cannot overflow
+    params = replace(params, eps_a=params.eps_a - mean, eps_b=params.eps_b - mean)
     u_minus_identity = block_minus_identity(tau, params)
     power_d = u_minus_identity.copy()
     power_d[1] *= np.cos(g)

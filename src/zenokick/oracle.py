@@ -282,8 +282,15 @@ def _check_capacity(schedule: KickSchedule) -> None:
         )
 
 
-def _run_batch(schedules: list[KickSchedule], params: SystemParams, layout) -> list[Trajectory]:
-    """Full-space runs of one batch of ``_batches``, sampled on its ``core._sample_layout``."""
+def _run_batch(
+    schedules: list[KickSchedule], params: SystemParams, layout
+) -> tuple[np.ndarray, ...]:
+    """Full-space runs of one batch of ``_batches``, sampled on its ``core._sample_layout``.
+
+    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
+    at the layout's ``offsets[r]:offsets[r + 1]``, as ``engine._run_batch``
+    does, and like it guards nothing.
+    """
     trials, n = len(schedules), len(schedules[0].kicks)
     rows = [_trial_constants(schedule.kicks, params) for schedule in schedules]
     if trials == 1:
@@ -313,7 +320,7 @@ def _run_batch(schedules: list[KickSchedule], params: SystemParams, layout) -> l
     # Flat anchors, trial by trial: trial r's anchor k is row r * (n + 1) + k.
     pops = np.array(pops).reshape(n + 1, trials, 4).transpose(1, 0, 2).reshape(-1, 4)
     cross = np.array(cross).reshape(n + 1, trials).T.ravel()
-    t, anchor, u, offsets = layout
+    t, anchor, u, _ = layout
     p00, w01, w10, p11 = pops[anchor].T
     c = cross[anchor]
 
@@ -327,11 +334,7 @@ def _run_batch(schedules: list[KickSchedule], params: SystemParams, layout) -> l
         )
 
     p10, p01 = weight(0), weight(1)
-    norm = p10 + p01 + p00 + p11
-    return [
-        Trajectory(t[lo:hi], p10[lo:hi], p01[lo:hi], p00[lo:hi], norm[lo:hi])
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
+    return t, p10, p01, p00, p10 + p01 + p00 + p11
 
 
 def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
@@ -368,8 +371,10 @@ def run_schedules(schedules: Iterable[KickSchedule], params: SystemParams) -> li
     for batch in _batches(schedules):
         members = [schedules[i] for i in batch]
         layout = _sample_layout(members, params)
-        for i, trajectory in zip(batch, _run_batch(members, params, layout)):
-            trajectories[i] = trajectory
+        columns = _run_batch(members, params, layout)
+        offsets = layout[-1]
+        for i, lo, hi in zip(batch, offsets, offsets[1:]):
+            trajectories[i] = Trajectory(*(column[lo:hi] for column in columns))
     return trajectories
 
 
@@ -387,5 +392,4 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """
     _check_capacity(schedule)
     batch = [schedule]
-    (trajectory,) = _run_batch(batch, params, _sample_layout(batch, params))
-    return trajectory
+    return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))

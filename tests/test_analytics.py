@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zenokick import analytics, engine
+from zenokick import analytics, cli, engine
 from zenokick.core import OffResonanceError, SystemParams
 
 RESONANT = SystemParams()
@@ -170,6 +170,61 @@ class TestSurvivalFunction:
     def test_rejects_non_finite_kicks_when_built(self, kicks):
         with pytest.raises(ValueError, match="finite"):
             analytics.survival_function(kicks, RESONANT)
+
+
+    def test_equals_final_state_over_the_rates_grid(self, monkeypatch):
+        # Every evaluation the ``rates`` scenario makes, recorded as it is made.
+        evaluations = []
+        survival_function = analytics.survival_function
+
+        def recording(kicks, params=None):
+            p10 = survival_function(kicks, params)
+
+            def record(t):
+                value = p10(t)
+                evaluations.append((kicks, t, value))
+                return value
+
+            return record
+
+        monkeypatch.setattr(cli, "survival_function", recording)
+        cli.rate_comparison_rows(RESONANT)
+        assert len(evaluations) == 186
+        for kicks, t, value in evaluations:
+            included = [(tm, g) for tm, g in sorted(kicks, key=lambda k: k[0]) if tm <= t]
+            assert value.hex() == engine.final_state(included, t, RESONANT).p10.hex()
+
+
+def leaky_kick(a, b, v, g):
+    return a, b * math.cos(g), v + 1e-9
+
+
+def inflating_kick(a, b, v, g):
+    return a * (1.0 + 4e-11), b * math.cos(g), v + (b.real**2 + b.imag**2) * math.sin(g) ** 2
+
+
+@pytest.mark.parametrize(
+    "kicks,total_time,kick",
+    [
+        ((), math.nan, None),
+        ((), -1.0, None),
+        ((), math.inf, None),
+        (((0.5, 1.0), (0.4, 1.0)), 1.0, None),
+        (((0.5, 1.0),), 0.4, None),
+        (((math.nan, 1.0),), 1.0, None),
+        (((0.5, math.inf),), 1.0, None),
+        (((0.5, 1.0),), 1.0, leaky_kick),
+        (((0.0, 1.0),), 0.0, inflating_kick),
+    ],
+)
+def test_the_scalar_fold_refuses_what_final_state_refuses(monkeypatch, kicks, total_time, kick):
+    if kick is not None:
+        monkeypatch.setattr(engine, "_kick", kick)
+    with pytest.raises(ValueError) as state_error:
+        engine.final_state(kicks, total_time, RESONANT)
+    with pytest.raises(ValueError) as scalar_error:
+        engine._final(kicks, total_time, RESONANT)
+    assert str(scalar_error.value) == str(state_error.value)
 
 
 class TestZenoLoss:

@@ -315,6 +315,12 @@ class TestOracleCheck:
     DETUNED = "G = 1.3\neps_a = 0.4\neps_b = -0.2\n"
 
     def config(self, tmp_path, extra="", **overrides):
+        text, out = self.scenario(tmp_path, extra, **overrides)
+        return cli.parse_config(text), out
+
+    @staticmethod
+    def scenario(tmp_path, extra="", **overrides):
+        """The scenario file's text and the report path it names."""
         fields = dict(trials=25, seed=1, n="0..5", T=1.0, resolution=60)
         fields.update(overrides)
         out = tmp_path / "report.txt"
@@ -323,7 +329,77 @@ class TestOracleCheck:
             f"N_list = {fields['n']}\nT = {fields['T']}\nresolution = {fields['resolution']}\n"
             f"out = {out}\n{extra}"
         )
-        return cli.parse_config(text), out
+        return text, out
+
+    @staticmethod
+    def plant(monkeypatch, module, column, value):
+        """Make the first batch ``module._run_batch`` runs carry ``value`` in one column.
+
+        ``column`` indexes ``(t, p10, p01, pvac, norm)``; the value lands on the
+        second sample of trial 1, inside the trial and after its first sample.
+        """
+        run_batch = module._run_batch
+        calls = []
+
+        def planted(schedules, params, layout):
+            columns = list(run_batch(schedules, params, layout))
+            if not calls:
+                assert len(schedules) > 1
+                columns[column] = columns[column].copy()
+                columns[column][layout[-1][1] + 1] = value
+            calls.append(len(schedules))
+            return tuple(columns)
+
+        monkeypatch.setattr(module, "_run_batch", planted)
+        return calls
+
+    @pytest.mark.parametrize("module", [engine, oracle], ids=["reduced", "dense"])
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            (1, math.nan, "populations must lie in [0, 1]"),
+            (3, 1.5, "populations must lie in [0, 1]"),
+            (2, -1e-9, "populations must lie in [0, 1]"),
+            (4, 1.0 + 1e-9, "total weight drifted from 1 by more than 1e-10"),
+            (0, -1.0, "sample times must be non-decreasing"),
+            (0, math.nan, "sample times must be non-decreasing"),
+        ],
+        ids=["nan-p10", "high-pvac", "negative-p01", "norm", "time-decrease", "nan-time"],
+    )
+    def test_a_bad_sample_in_one_trial_is_refused(
+        self, tmp_path, capsys, monkeypatch, module, column, value, message
+    ):
+        text, out = self.scenario(tmp_path, n="2..3")
+        path = tmp_path / "check.txt"
+        path.write_text(text)
+        calls = self.plant(monkeypatch, module, column, value)
+        assert cli.main([str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [calls[0]]  # refused in the first batch, before any other runs
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module", [engine, oracle], ids=["reduced", "dense"])
+    def test_a_nan_deviation_past_the_guard_fails(self, tmp_path, capsys, monkeypatch, module):
+        # The NaN is in the first of two batches: a finite deviation follows it.
+        monkeypatch.setattr(cli, "check_populations", lambda *columns: None)
+        calls = self.plant(monkeypatch, module, 1, math.nan)
+        config, out = self.config(tmp_path, n="2..3")
+        assert cli.cmd_oracle_check(config) == 1
+        assert len(calls) == 2
+        assert capsys.readouterr().out.startswith("status=FAIL max_dev=nan trials=25\n")
+        assert out.read_text() == "status=FAIL max_dev=nan trials=25\n"
+
+    def test_the_time_rule_holds_inside_each_trial(self):
+        t = np.array([0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+        populations = (np.ones(7), np.zeros(7), np.zeros(7), np.ones(7))
+        cli._check_batch((t, *populations), [0, 4, 6, 7])  # resets at trial starts
+        for offsets in ([0, 7], [0, 4, 7], [0, 6, 7]):
+            with pytest.raises(ValueError, match="sample times must be non-decreasing"):
+                cli._check_batch((t, *populations), offsets)
+        inside = t.copy()
+        inside[2] = 0.4
+        with pytest.raises(ValueError, match="sample times must be non-decreasing"):
+            cli._check_batch((inside, *populations), [0, 4, 6, 7])
 
     def test_pass_report(self, tmp_path, capsys):
         for extra in ("", self.DETUNED):

@@ -324,15 +324,34 @@ def test_the_loss_is_p01_plus_pvac_to_full_relative_precision(params, timing):
         assert cell.p01 + cell.pvac == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+#: (n, g, tau) of a long equally spaced run, in the argument order of ``mpmath_loss``
+LONG_RUN = (2**30, math.pi - 0.1, 1e-3)
+
+
+def long_run_loss(params):
+    """p01 + pvac after ``LONG_RUN``'s n kicks of strength g spaced tau."""
+    n, g, tau = LONG_RUN
+    _, p01, pvac = engine.run_equally_spaced(n, g, interval=tau, params=params)
+    return p01 + pvac
+
+
+def test_the_loss_of_a_long_run_with_a_common_energy():
+    # A common energy is a global phase: the sweep drops it and reads as at eps = 0.
+    params = SystemParams(1.0, 0.7, 0.7)
+    loss = long_run_loss(params)
+    assert loss == pytest.approx(mpmath_loss(*LONG_RUN, params), rel=1e-12, abs=0)
+    assert loss == long_run_loss(SystemParams())
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="the doubling's norm drift grows with n when eps_a + eps_b != 0: "
-    "4.1e-11 at n = 2**30, tau = 1e-3, which leaves the loss 3.5e-11 off",
+    reason="the doubling's norm drift grows with n when eps_a != eps_b: "
+    "1.0e-11 at n = 2**30, tau = 1e-3, which leaves the loss 9.7e-12 off",
 )
-def test_the_loss_of_a_long_run_with_a_common_energy():
-    params, g, n, tau = SystemParams(1.0, 0.7, 0.7), math.pi - 0.1, 2**30, 1e-3
-    _, p01, pvac = engine.run_equally_spaced(n, g, interval=tau, params=params)
-    assert p01 + pvac == pytest.approx(mpmath_loss(n, g, tau, params), rel=1e-12, abs=0)
+def test_the_loss_of_a_long_detuned_run():
+    params = SystemParams(1.3, 0.4, -0.2)
+    expected = mpmath_loss(*LONG_RUN, params)
+    assert long_run_loss(params) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestLargeKickCounts:
