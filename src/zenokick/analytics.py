@@ -120,13 +120,13 @@ def survival_function(
     <= t (ties included; P10 is continuous at kick instants so the boundary
     choice is invisible): the fold and guard of ``engine.final_state``, on
     plain scalars.  Repeated kick times mean back-to-back kicks.
-    A non-finite kick time or strength raises ValueError here, not at the
-    first evaluation.
+    A kick time that is negative or not finite, or a strength that is not
+    finite, raises ValueError here, not at the first evaluation.
     """
     p = params or SystemParams()
     sequence = tuple(sorted(((float(t), float(g)) for t, g in kicks), key=lambda k: k[0]))
-    if not all(math.isfinite(t) and math.isfinite(g) for t, g in sequence):
-        raise ValueError("kick times and strengths must be finite")
+    if not all(math.isfinite(t) and t >= 0 and math.isfinite(g) for t, g in sequence):
+        raise ValueError("kick times must be finite and >= 0, and strengths finite")
 
     def p10(t: float) -> float:
         if not math.isfinite(t) or t < 0:

@@ -54,8 +54,8 @@ from .core import (
     OffResonanceError,
     SystemParams,
     Trajectory,
+    _check_samples,
     _sample_layout,
-    check_populations,
 )
 
 __all__ = [
@@ -573,14 +573,14 @@ def oracle_engine_deviation(
     ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
     drawn before any is run, in that order, so a seed gives the same trials
     however they are run.  They then run in the batches of
-    ``oracle.run_schedules``, one kick count at a time: each batch gets one
+    ``oracle._batches``, one kick count at a time: each batch gets one
     ``core._sample_layout``, and both paths sample all its trials on it as
-    flat columns.  Each path's columns get the guard of a ``Trajectory``,
-    for the whole batch at once; each observable is then compared in one
-    reduction over the batch, and the batch is dropped before the next one
-    runs, so only one batch's samples are held at a time.  The largest
-    deviation is exact whatever the batching, and a NaN deviation is kept,
-    so that it reads as FAIL.
+    flat columns.  Each path's columns get ``core._check_samples``, the guard
+    of a ``Trajectory``, for the whole batch at once; each observable is then
+    compared in one reduction over the batch, and the batch is dropped before
+    the next one runs, so only one batch's samples are held at a time.  The
+    largest deviation is exact whatever the batching, and a NaN deviation is
+    kept, so that it reads as FAIL.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -617,29 +617,13 @@ def oracle_engine_deviation(
         layout = _sample_layout(members, params)
         offsets = layout[-1]
         reduced = engine._run_batch(members, params, layout)
-        _check_batch(reduced, offsets)
+        _check_samples(reduced, offsets)
         dense = oracle._run_batch(members, params, layout)
-        _check_batch(dense, offsets)
+        _check_samples(dense, offsets)
         for observable in (1, 2, 3):  # p10, p01, pvac
             dev = np.max(np.abs(reduced[observable] - dense[observable]))
             worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
     return float(worst)
-
-
-def _check_batch(columns: tuple[np.ndarray, ...], offsets: list[int]) -> None:
-    """The guard of a ``Trajectory`` on every trial of a batch's flat columns at once.
-
-    ``columns`` are ``(t, p10, p01, pvac, norm)`` with trial r at
-    ``offsets[r]:offsets[r + 1]``.  Times must not decrease inside a trial;
-    the drop from one trial's last time to the next trial's first is not a
-    decrease.  The bounds and messages are those of ``Trajectory``.
-    """
-    t, *populations = columns
-    rising = np.diff(t) >= 0  # a NaN time fails, as in ``Trajectory``
-    rising[np.array(offsets[1:-1], dtype=np.intp) - 1] = True
-    if not np.all(rising):
-        raise ValueError("sample times must be non-decreasing")
-    check_populations(*populations)
 
 
 def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:

@@ -150,13 +150,7 @@ class Trajectory:
     norm: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = (self.t, self.p10, self.p01, self.pvac, self.norm)
-        n = len(self.t)
-        if n == 0 or any(len(arr) != n for arr in arrays):
-            raise ValueError("trajectory arrays must be non-empty and equally long")
-        if not np.all(np.diff(self.t) >= 0):  # negated, so that a NaN time fails too
-            raise ValueError("sample times must be non-decreasing")
-        check_populations(self.p10, self.p01, self.pvac, self.norm)
+        _check_samples((self.t, self.p10, self.p01, self.pvac, self.norm), [0, len(self.t)])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -171,8 +165,8 @@ _NORM_SLACK = 1e-10
 def check_populations(p10, p01, pvac, norm) -> None:
     """Raise ValueError unless every population lies in [0, 1] and every norm is 1.
 
-    Populations get 1e-12 of slack, the total weight 1e-10.  ``Trajectory``
-    applies this guard to its samples and ``engine.sweep`` to its cells.  The
+    Populations get 1e-12 of slack, the total weight 1e-10.  ``_check_samples``
+    applies this guard to sampled runs and ``engine.sweep`` to its cells.  The
     bounds are written as negated ``<=`` tests so that NaN fails them too.
     """
     pops = np.array((p10, p01, pvac))
@@ -180,6 +174,23 @@ def check_populations(p10, p01, pvac, norm) -> None:
         raise ValueError("populations must lie in [0, 1]")
     if not np.max(np.abs(norm - 1.0)) <= _NORM_SLACK:
         raise ValueError("total weight drifted from 1 by more than 1e-10")
+
+
+def _check_samples(columns: tuple[np.ndarray, ...], offsets: list[int]) -> None:
+    """The guard of sampled runs: a ``Trajectory`` is one run, a batch several.
+
+    ``columns`` are ``(t, p10, p01, pvac, norm)``, run r at
+    ``offsets[r]:offsets[r + 1]``.  Times may drop only where a run starts,
+    a NaN time fails, and every sample gets ``check_populations``.
+    """
+    t, *populations = columns
+    if len(t) == 0 or any(len(column) != len(t) for column in populations):
+        raise ValueError("trajectory arrays must be non-empty and equally long")
+    rising = np.diff(t) >= 0  # False at a NaN time, so that it fails too
+    rising[np.array(offsets[1:-1], dtype=np.intp) - 1] = True
+    if not np.all(rising):
+        raise ValueError("sample times must be non-decreasing")
+    check_populations(*populations)
 
 
 def _check_state(a: complex, b: complex, v: float) -> None:

@@ -14,6 +14,7 @@ once, in O(log n) numpy steps, and returns the cells as one record array.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 from typing import Iterable, Iterator
 
@@ -93,8 +94,8 @@ def _run_batch(
     samples of every trial are propagated from their anchors in one pass.
     Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
     at the layout's ``offsets[r]:offsets[r + 1]``.  Nothing here guards
-    them: a caller wraps a trial's slices in a ``Trajectory``, or applies
-    the same rules to the whole batch at once.
+    them: a caller wraps them in a ``Trajectory``, or hands the whole batch
+    to ``core._check_samples``, which is the same guard.
     """
     anchors = []
     for schedule in schedules:
@@ -190,7 +191,7 @@ def sweep(
     once the loss drops below about 1e-16.
     """
     g_values = tuple(float(g) for g in g_values)
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(_kick_count(n) for n in n_values)
     if not g_values or not n_values:
         raise ValueError("g_values and n_values must be non-empty")
     if any(not math.isfinite(g) for g in g_values):
@@ -224,6 +225,14 @@ def sweep(
     cells = np.empty(len(n_column), _CELL).view(np.recarray)
     cells.g, cells.n, cells.p10, cells.p01, cells.pvac = g_column, n_column, p10, p01, pvac
     return cells
+
+
+def _kick_count(n) -> int:
+    """``n`` as a Python int if it is an integer (``operator.index``); ValueError otherwise."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"kick counts must be integers, got {n!r}") from None
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -33,18 +33,15 @@ are computed on Python scalars, one trial at a time, and enter the kernels
 as a column with one value per trial, which stays fixed along the trial's
 rows as a scalar would.  Every product therefore runs along one row of one
 trial, with the same operands and in the same numpy loop as a run of that
-trial alone, and a trial's bits do not depend on the other trials.  A batch
-of one trial drops the trial axis, ``phi[s, m]`` with shape ``(4, 2**n)``,
-and passes its constants as the scalars themselves; the kernels index from
-the last axis (``phi[..., s, :]``), so they take either shape.
+trial alone, and a trial's bits do not depend on the other trials.
 
-``run_schedules`` groups its schedules by kick count and sample grid and
-steps each group together, at most ``BATCH_AMPLITUDES`` amplitudes (but
-never fewer than one trial) to a working array; ``run_schedule`` is its
-one-schedule case.  Each batch allocates one zeroed working array and one
+``_batches`` groups schedules by kick count and sample grid, at most
+``BATCH_AMPLITUDES`` amplitudes (but never fewer than one trial) to a
+working array, and ``_run_batch`` steps each group; ``run_schedule`` is a
+batch of one.  Each batch allocates one zeroed working array and one
 scratch buffer of ``phi.size // 2`` slots.  The public ``free_step`` and
-``kick`` copy the state, run the same kernel on the copy and return a fresh
-``FullState``.
+``kick`` run the same kernels on a copy, as a ``(4, 2**n)`` view with
+scalar constants: the kernels index from the last axis (``phi[..., s, :]``).
 
 Sampling a run
 --------------
@@ -92,7 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -112,11 +109,10 @@ __all__ = [
     "free_step",
     "kick",
     "run_schedule",
-    "run_schedules",
 ]
 
 MAX_PROBES = 20
-#: amplitudes one working array of ``run_schedules`` may hold (16 MiB); a
+#: amplitudes one batch of ``_batches`` may hold (16 MiB); a
 #: schedule wider than that still runs, as a batch of one
 BATCH_AMPLITUDES = 2**20
 #: constants of a free step of length zero: exactly the identity
@@ -275,13 +271,6 @@ def _trial_constants(
     return rows
 
 
-def _check_capacity(schedule: KickSchedule) -> None:
-    if len(schedule.kicks) > MAX_PROBES:
-        raise CapacityError(
-            f"schedule has {len(schedule.kicks)} kicks; dense path supports at most {MAX_PROBES}"
-        )
-
-
 def _run_batch(
     schedules: list[KickSchedule], params: SystemParams, layout
 ) -> tuple[np.ndarray, ...]:
@@ -289,34 +278,26 @@ def _run_batch(
 
     Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
     at the layout's ``offsets[r]:offsets[r + 1]``, as ``engine._run_batch``
-    does, and like it guards nothing.
+    does.  It refuses more than ``MAX_PROBES`` kicks and guards nothing else.
     """
     trials, n = len(schedules), len(schedules[0].kicks)
+    if n > MAX_PROBES:
+        raise CapacityError(f"schedule has {n} kicks; dense path supports at most {MAX_PROBES}")
     rows = [_trial_constants(schedule.kicks, params) for schedule in schedules]
-    if trials == 1:
-        # No trial axis and Python scalars: the numpy calls of a lone run.  A
-        # (1, 4, m) array with (1, 1) columns made 15- and 16-probe runs 6% slower.
-        shape = (4, 2**n)
-        free = [row[:4] for row in rows[0]]
-        rotations = [row[4:] for row in rows[0]]
-    else:
-        shape = (trials, 4, 2**n)
-        table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
-        free = table[:, :4, :, None]  # per kick: four (trials, 1) columns
-        rotations = table[:, 4:, :, None, None, None]  # per kick: two (trials, 1, 1, 1)
-    phi = np.zeros(shape, dtype=np.complex128)
-    phi[..., 2, 0] = 1.0  # |1,0> with every probe in its ground state
+    table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
+    free = table[:, :4, :, None]  # per kick: four (trials, 1) columns
+    rotations = table[:, 4:, :, None, None, None]  # per kick: two (trials, 1, 1, 1)
+    phi = np.zeros((trials, 4, 2**n), dtype=np.complex128)
+    phi[:, 2, 0] = 1.0  # |1,0> with every probe in its ground state
     scratch = np.empty(phi.size // 2, dtype=np.complex128)
     live = phi[..., :1]  # before kick k only probe states below 2**k hold weight
-    weights, coherence = _read_anchor(live, scratch)
-    pops, cross = [weights], [coherence]  # per anchor: p00, p01 = B, p10 = A, p11; and C
+    anchors = [_read_anchor(live, scratch)]  # each: (p00, p01 = B, p10 = A, p11) and C
     for index in range(n):
         _free_step_in_place(live, free[index], scratch)
         live = phi[..., : 2 ** (index + 1)]
         _kick_in_place(live, index, *rotations[index], scratch)
-        weights, coherence = _read_anchor(live, scratch)
-        pops.append(weights)
-        cross.append(coherence)
+        anchors.append(_read_anchor(live, scratch))
+    pops, cross = zip(*anchors)
     # Flat anchors, trial by trial: trial r's anchor k is row r * (n + 1) + k.
     pops = np.array(pops).reshape(n + 1, trials, 4).transpose(1, 0, 2).reshape(-1, 4)
     cross = np.array(cross).reshape(n + 1, trials).T.ravel()
@@ -338,44 +319,19 @@ def _run_batch(
 
 
 def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
-    """Positions of the schedules, grouped into the batches ``run_schedules`` steps together.
+    """Positions of the schedules, grouped into the batches ``_run_batch`` steps together.
 
     A batch shares one kick count and one sample grid, and holds at most
-    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial.  Every
-    schedule's capacity is checked before the first batch is yielded.
+    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial.
     """
     groups: dict[tuple, list[int]] = {}
     for position, schedule in enumerate(schedules):
-        _check_capacity(schedule)
         key = (len(schedule.kicks), schedule.total_time, schedule.sample_resolution)
         groups.setdefault(key, []).append(position)
     for (n, *_), members in groups.items():
         per_batch = max(1, BATCH_AMPLITUDES // (4 * 2**n))
         for lo in range(0, len(members), per_batch):
             yield members[lo : lo + per_batch]
-
-
-def run_schedules(schedules: Iterable[KickSchedule], params: SystemParams) -> list[Trajectory]:
-    """Full-space runs of many kick schedules, returned in input order.
-
-    Schedules with the same kick count and sample grid step through the
-    dense kernels together, as the trials of one working array, at most
-    ``BATCH_AMPLITUDES`` amplitudes and never fewer than one trial at a
-    time, and each batch is sampled on one ``core._sample_layout``.  Each
-    trajectory is bit for bit what a run of its schedule alone gives: every
-    product runs along one row of one trial, with that trial's constants,
-    computed one trial at a time on Python scalars.
-    """
-    schedules = list(schedules)
-    trajectories: list[Trajectory] = [None] * len(schedules)
-    for batch in _batches(schedules):
-        members = [schedules[i] for i in batch]
-        layout = _sample_layout(members, params)
-        columns = _run_batch(members, params, layout)
-        offsets = layout[-1]
-        for i, lo, hi in zip(batch, offsets, offsets[1:]):
-            trajectories[i] = Trajectory(*(column[lo:hi] for column in columns))
-    return trajectories
 
 
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
@@ -387,9 +343,8 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     density matrix of the pair right after the latest kick before it.  Each
     step runs on the live prefix of the working array, the probe states in
     which no probe beyond the current kick is excited, so the dense work of
-    a run is O(2**n); see the module docstring.  This is the one-schedule
-    case of ``run_schedules``: a batch of one trial.
+    a run is O(2**n); see the module docstring.  This is ``_run_batch`` on
+    a batch of one trial.
     """
-    _check_capacity(schedule)
     batch = [schedule]
     return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))

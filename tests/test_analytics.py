@@ -1,6 +1,7 @@
 """Closed-form rates against the finite-difference instrument and frozen values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,10 +166,13 @@ class TestSurvivalFunction:
             ((math.inf, 1.0),),
             ((0.5, math.nan),),
             ((0.5, -math.inf),),
+            ((-0.5, 1.0),),  # each evaluation raised "kick time -0.5 outside [0.0, t]"
+            ((0.7, 1.0), (-1e-300, 1.0)),
         ],
     )
     def test_rejects_non_finite_kicks_when_built(self, kicks):
-        with pytest.raises(ValueError, match="finite"):
+        message = "kick times must be finite and >= 0, and strengths finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
             analytics.survival_function(kicks, RESONANT)
 
 

@@ -5,6 +5,7 @@ the benchmark.  The package root holds only the modules and the types, and
 the README's Python API example runs as written.
 """
 
+import ast
 import importlib
 import os
 import re
@@ -26,6 +27,7 @@ TYPES = (
     "Trajectory",
 )
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = Path(zenokick.__file__).resolve().parent
 
 #: what bench/kernels.py and bench/worker.py reach for, and the spans that
 #: bench/run.py and bench/tracer.py read by name: a renamed span reads 0
@@ -124,3 +126,36 @@ def test_an_oracle_check_run_loads_no_numpy_random(tmp_path):
     assert wrote == f"wrote {out}"
     assert loaded == "0 []"
     assert out.read_text() == report + "\n"
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, in its code, in its string annotations and in ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= used_names(ast.parse(part.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_keeps_an_unused_import(path):
+    # A deletion can leave its imports behind; nothing else would notice them.
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = used_names(tree)
+    assert [(line, name) for name, line in imported.items() if name not in used] == []

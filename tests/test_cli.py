@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import zenokick
-from zenokick import cli, engine, oracle
+from zenokick import cli, core, engine, oracle
 from zenokick.core import KickSchedule, SystemParams, Trajectory
 
 
@@ -381,25 +381,13 @@ class TestOracleCheck:
     @pytest.mark.parametrize("module", [engine, oracle], ids=["reduced", "dense"])
     def test_a_nan_deviation_past_the_guard_fails(self, tmp_path, capsys, monkeypatch, module):
         # The NaN is in the first of two batches: a finite deviation follows it.
-        monkeypatch.setattr(cli, "check_populations", lambda *columns: None)
+        monkeypatch.setattr(core, "check_populations", lambda *columns: None)
         calls = self.plant(monkeypatch, module, 1, math.nan)
         config, out = self.config(tmp_path, n="2..3")
         assert cli.cmd_oracle_check(config) == 1
         assert len(calls) == 2
         assert capsys.readouterr().out.startswith("status=FAIL max_dev=nan trials=25\n")
         assert out.read_text() == "status=FAIL max_dev=nan trials=25\n"
-
-    def test_the_time_rule_holds_inside_each_trial(self):
-        t = np.array([0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
-        populations = (np.ones(7), np.zeros(7), np.zeros(7), np.ones(7))
-        cli._check_batch((t, *populations), [0, 4, 6, 7])  # resets at trial starts
-        for offsets in ([0, 7], [0, 4, 7], [0, 6, 7]):
-            with pytest.raises(ValueError, match="sample times must be non-decreasing"):
-                cli._check_batch((t, *populations), offsets)
-        inside = t.copy()
-        inside[2] = 0.4
-        with pytest.raises(ValueError, match="sample times must be non-decreasing"):
-            cli._check_batch((inside, *populations), [0, 4, 6, 7])
 
     def test_pass_report(self, tmp_path, capsys):
         for extra in ("", self.DETUNED):

@@ -15,11 +15,12 @@ from zenokick.core import (
     ReducedState,
     SystemParams,
     Trajectory,
+    _check_samples,
+    _sample_layout,
     apply_kick,
     block_minus_identity,
     check_populations,
     free_propagate,
-    _sample_layout,
     schedule_steps,
 )
 
@@ -378,6 +379,28 @@ class TestStateAndTrajectoryValidation:
             args = [np.array([x, x]) for x in args]
         with pytest.raises(ValueError):
             check_populations(*args)
+
+    def test_the_time_rule_holds_inside_each_trial(self):
+        t = np.array([0.0, 0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+        populations = (np.ones(7), np.zeros(7), np.zeros(7), np.ones(7))
+        _check_samples((t, *populations), [0, 4, 6, 7])  # resets at trial starts
+        for offsets in ([0, 7], [0, 4, 7], [0, 6, 7]):
+            with pytest.raises(ValueError, match="sample times must be non-decreasing"):
+                _check_samples((t, *populations), offsets)
+        inside = t.copy()
+        inside[2] = 0.4
+        with pytest.raises(ValueError, match="sample times must be non-decreasing"):
+            _check_samples((inside, *populations), [0, 4, 6, 7])
+        # A Trajectory is a one-run batch: it refuses the same columns with the same message.
+        bad_values = [(0, 0.4), (0, math.nan), (1, math.nan), (2, -1e-9), (3, 1.5), (4, 1 + 1e-9)]
+        for column, value in bad_values:
+            one_run = [np.array(c[:4]) for c in (t, *populations)]
+            one_run[column][2] = value
+            with pytest.raises(ValueError) as alone:
+                Trajectory(*one_run)
+            with pytest.raises(ValueError) as batch:
+                _check_samples(tuple(one_run), [0, 4])
+            assert str(batch.value) == str(alone.value), (column, value)
 
     def test_trajectory_rejects_a_nan_time(self):
         t = np.array([0.0, math.nan, 1.0])

@@ -296,6 +296,19 @@ class TestSweep:
         with pytest.raises(TypeError):
             engine.sweep((1.0,), (1,), mode="sideways", total_time=1.0)
 
+    @pytest.mark.parametrize("count", [2.7, "3"], ids=["float", "str"])
+    def test_a_kick_count_must_be_an_integer(self, count):
+        # Both were read through int(): 2.7 ran as 2 kicks, "3" as 3.
+        with pytest.raises(ValueError, match=f"kick counts must be integers, got {count!r}"):
+            engine.sweep((math.pi / 2,), (count,), total_time=1.0)
+        with pytest.raises(ValueError, match=f"kick counts must be integers, got {count!r}"):
+            engine.run_equally_spaced(count, math.pi / 2, total_time=1.0)
+        (cell,) = engine.sweep((math.pi / 2,), (np.int64(3),), total_time=1.0)
+        assert type(cell.n) is np.int64 and cell.n == 3
+        assert engine.run_equally_spaced(np.int64(3), math.pi / 2, total_time=1.0) == (
+            engine.run_equally_spaced(3, math.pi / 2, total_time=1.0)
+        )
+
 
 def mpmath_loss(n, g, tau, params):
     """1 - P10 after n periods diag(1, cos g) exp(-i H tau), from a 50-digit matrix power."""

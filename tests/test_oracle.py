@@ -9,7 +9,13 @@ from reference import norm, populations, single_excitation_block
 from scipy.linalg import expm
 
 from zenokick import engine, oracle
-from zenokick.core import CapacityError, KickSchedule, SystemParams, schedule_steps
+from zenokick.core import (
+    CapacityError,
+    KickSchedule,
+    SystemParams,
+    _sample_layout,
+    schedule_steps,
+)
 
 RESONANT = SystemParams()
 DETUNED = SystemParams(coupling=1.3, eps_a=0.4, eps_b=-0.2)
@@ -277,7 +283,7 @@ class TestRunSchedule:
         with pytest.raises(CapacityError):
             oracle.run_schedule(schedule, RESONANT)
         with pytest.raises(CapacityError):
-            oracle.run_schedules([KickSchedule((), 1.0, 0.0), schedule], RESONANT)
+            run_batches([KickSchedule((), 1.0, 0.0), schedule], RESONANT)
 
     def test_norm_stays_one(self):
         rng = np.random.default_rng(23)
@@ -313,12 +319,13 @@ class TestRunSchedule:
 
         for name in ("vdot", "dot", "inner"):
             monkeypatch.setattr(np, name, no_blas)
-        alone = oracle.run_schedule(schedule, DETUNED)
-        batched = oracle.run_schedules([others[0], schedule, *others[1:]], DETUNED)[1]
-        for traj in (alone, batched):
-            np.testing.assert_array_equal(traj.t, t)
-            for column, attr in enumerate(("p10", "p01", "pvac", "norm")):
-                assert np.max(np.abs(getattr(traj, attr) - rows[:, column])) <= 1e-15
+        traj = oracle.run_schedule(schedule, DETUNED)
+        alone = (traj.t, traj.p10, traj.p01, traj.pvac, traj.norm)
+        batched = run_batches([others[0], schedule, *others[1:]], DETUNED)[1]
+        for columns in (alone, batched):
+            np.testing.assert_array_equal(columns[0], t)
+            for column in range(4):
+                assert np.max(np.abs(columns[column + 1] - rows[:, column])) <= 1e-15
 
     def test_matches_reduced_engine_at_capacity(self):
         # The widest run the dense path accepts, held to criterion 1's bound.
@@ -380,7 +387,7 @@ class TestLivePrefix:
     def test_kernels_on_a_prefix_view_write_through(self, width):
         # A column prefix keeps the parent's row stride; the kernels must
         # step it in place exactly as they step a contiguous copy of it.
-        # Three trials, each with its own constants, as run_schedules steps them.
+        # Three trials, each with its own constants, as _run_batch steps them.
         rng = np.random.default_rng(43 + width)
         shape = (3, 4, 2**5)
         phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -401,6 +408,24 @@ class TestLivePrefix:
             step(phi[:, :, : 2**width])
             np.testing.assert_array_equal(phi[:, :, : 2**width], expected)
             np.testing.assert_array_equal(phi[:, :, 2**width :], before[:, :, 2**width :])
+
+
+def run_batches(schedules, params):
+    """Each schedule's columns ``(t, p10, p01, pvac, norm)``, run as the oracle check runs them.
+
+    ``oracle._batches`` groups the schedules, each batch gets one
+    ``_sample_layout``, and ``oracle._run_batch`` steps it; trial r's columns
+    are the batch's columns at ``offsets[r]:offsets[r + 1]``.
+    """
+    runs = [None] * len(schedules)
+    for batch in oracle._batches(schedules):
+        members = [schedules[i] for i in batch]
+        layout = _sample_layout(members, params)
+        columns = oracle._run_batch(members, params, layout)
+        offsets = layout[-1]
+        for i, lo, hi in zip(batch, offsets, offsets[1:]):
+            runs[i] = tuple(column[lo:hi] for column in columns)
+    return runs
 
 
 def trajectory_bytes(traj):
@@ -426,7 +451,7 @@ def random_schedules(rng, count, max_kicks, total_time=1.3):
 
 
 class TestRunSchedules:
-    """Many schedules stepped together give exactly what one run each gives."""
+    """Schedules stepped together, in the check's batches, give what one run each gives."""
 
     @pytest.mark.parametrize(
         "params",
@@ -439,11 +464,9 @@ class TestRunSchedules:
         schedules += [KickSchedule(TWELVE_KICKS[:k], 1.3, 20.0) for k in (12, 0, 5)]
         counts = {len(s.kicks) for s in schedules}
         assert counts == set(range(13))
-        trajectories = oracle.run_schedules(schedules, params)
-        assert len(trajectories) == len(schedules)
-        for schedule, traj in zip(schedules, trajectories):
+        for schedule, columns in zip(schedules, run_batches(schedules, params), strict=True):
             alone = oracle.run_schedule(schedule, params)
-            assert trajectory_bytes(traj) == trajectory_bytes(alone)
+            assert [column.tobytes() for column in columns] == trajectory_bytes(alone)
 
     def test_a_group_larger_than_one_batch(self):
         # 17 probes are 2**19 amplitudes a trial: three trials make a batch of
@@ -457,10 +480,10 @@ class TestRunSchedules:
             gs = rng.uniform(0.0, math.pi, n)
             schedules.append(KickSchedule(tuple(zip(times, gs)), 1.0, 20.0))
         schedules.insert(1, KickSchedule(((0.5, 1.0),), 1.0, 20.0))
-        trajectories = oracle.run_schedules(schedules, DETUNED)
-        for schedule, traj in zip(schedules, trajectories):
+        assert list(oracle._batches(schedules)) == [[0, 2], [3], [1]]
+        for schedule, columns in zip(schedules, run_batches(schedules, DETUNED), strict=True):
             alone = oracle.run_schedule(schedule, DETUNED)
-            assert trajectory_bytes(traj) == trajectory_bytes(alone)
+            assert [column.tobytes() for column in columns] == trajectory_bytes(alone)
 
     def test_no_schedules(self):
-        assert oracle.run_schedules([], RESONANT) == []
+        assert list(oracle._batches([])) == []
