@@ -14,7 +14,7 @@ import math
 from typing import Callable, Iterable
 
 from . import engine
-from .core import OffResonanceError, SystemParams
+from .core import OffResonanceError, SystemParams, _real
 
 __all__ = [
     "rate_free",
@@ -124,7 +124,7 @@ def survival_function(
     finite, raises ValueError here, not at the first evaluation.
     """
     p = params or SystemParams()
-    sequence = tuple(sorted(((float(t), float(g)) for t, g in kicks), key=lambda k: k[0]))
+    sequence = tuple(sorted(((_real(t), _real(g)) for t, g in kicks), key=lambda k: k[0]))
     if not all(math.isfinite(t) and t >= 0 and math.isfinite(g) for t, g in sequence):
         raise ValueError("kick times must be finite and >= 0, and strengths finite")
 

@@ -33,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -498,19 +498,18 @@ def _gnuplot(title: str, xlabel: str, ylabel: str, clauses: list[str]) -> str:
     )
 
 
-def _run_schedule(config: ScenarioConfig, g: float) -> Trajectory:
-    if config.total_time is None:
-        raise ValueError("scenario 'run' needs T")
-    span = config.total_time
-    per_unit = config.resolution / span if span > 0 else 0.0
-    schedule = KickSchedule(
-        tuple((t, g) for t in config.kick_times), span, per_unit
-    )
-    return engine.run_schedule(schedule, config.params())
+def _schedule(
+    kicks: Iterable[tuple[float, float]], total_time: float, resolution: int
+) -> KickSchedule:
+    """The ``KickSchedule`` of a scenario's run: ``resolution`` counts samples per run."""
+    per_unit = resolution / total_time if total_time > 0 else 0.0
+    return KickSchedule(tuple(kicks), total_time, per_unit)
 
 
 def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Trajectory CSV per kick strength; multiple strengths fan out by suffix."""
+    if config.total_time is None:
+        raise ValueError("scenario 'run' needs T")
     g_values = config.g_list if config.g_list else (0.0,)
     out = Path(config.out or "run.csv")
     outputs: list[tuple[Path, float]] = []
@@ -519,7 +518,11 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
         outputs.append((path, g))
     # Every run finishes before the first write, so a refused run leaves no
     # files; then one CSV text at a time is formatted and written.
-    trajectories = [_run_schedule(config, g) for _, g in outputs]
+    trajectories = []
+    for _, g in outputs:
+        kicks = [(t, g) for t in config.kick_times]
+        schedule = _schedule(kicks, config.total_time, config.resolution)
+        trajectories.append(engine.run_schedule(schedule, config.params()))
     # The sample times come from the kick times and the grid, not from g, so
     # several files share one formatted t column; a single file formats its
     # own a block at a time, which holds less memory.
@@ -572,15 +575,10 @@ def oracle_engine_deviation(
     times are redrawn until they are distinct; a ValueError is raised if
     ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
     drawn before any is run, in that order, so a seed gives the same trials
-    however they are run.  They then run in the batches of
-    ``oracle._batches``, one kick count at a time: each batch gets one
-    ``core._sample_layout``, and both paths sample all its trials on it as
-    flat columns.  Each path's columns get ``core._check_samples``, the guard
-    of a ``Trajectory``, for the whole batch at once; each observable is then
-    compared in one reduction over the batch, and the batch is dropped before
-    the next one runs, so only one batch's samples are held at a time.  The
-    largest deviation is exact whatever the batching, and a NaN deviation is
-    kept, so that it reads as FAIL.
+    however they are run.  They run in the batches of ``oracle._batches``,
+    one batch at a time, and each path's samples get the guard of a
+    ``Trajectory``.  The largest deviation does not depend on the batching,
+    and a NaN deviation is kept, so that it reads as FAIL.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -599,7 +597,6 @@ def oracle_engine_deviation(
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     rng = random.Random(seed)
-    per_unit = resolution / total_time
     schedules = []
     for _ in range(trials):
         n = rng.choice(n_choices) if n_choices else 0
@@ -610,7 +607,7 @@ def oracle_engine_deviation(
         else:
             raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
         strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
-        schedules.append(KickSchedule(tuple(zip(times, strengths)), total_time, per_unit))
+        schedules.append(_schedule(zip(times, strengths), total_time, resolution))
     worst = 0.0
     for batch in oracle._batches(schedules):
         members = [schedules[i] for i in batch]
@@ -686,10 +683,7 @@ def rate_comparison_rows(params: SystemParams) -> list[tuple[str, float, float, 
 
 def cmd_rates(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Compare every closed-form rate against its finite-difference estimate; plots nothing."""
-    params = config.params()
-    if not params.resonant:
-        raise OffResonanceError("scenario 'rates' requires eps_a == eps_b")
-    rows = rate_comparison_rows(params)
+    rows = rate_comparison_rows(config.params())
     checks, *numbers = zip(*rows)
     columns = [("%s", checks), *(("%.17g", column) for column in numbers)]
     text = _csv("check,t_or_N,analytic,numeric,abs_error", columns)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,18 @@ class SystemParams:
         return self.eps_a == self.eps_b
 
 
+def _real(value) -> float:
+    """A kick time or strength as a float; ValueError unless it is a real number.
+
+    ``float()`` alone would also read strings and bytes such as ``'0.5'``.
+    Ints and numpy scalars are real numbers and convert as ``float()`` does.
+    """
+    # A Python float skips the ABC check, which costs about 30 times more.
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise ValueError(f"kick times and strengths must be real numbers, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class KickSchedule:
     """Ordered instantaneous probe kicks over a finite run.
@@ -88,7 +101,7 @@ class KickSchedule:
     sample_resolution: float = 1000.0
 
     def __post_init__(self) -> None:
-        kicks = tuple((float(t), float(g)) for t, g in self.kicks)
+        kicks = tuple((_real(t), _real(g)) for t, g in self.kicks)
         object.__setattr__(self, "kicks", kicks)
         if not math.isfinite(self.total_time) or self.total_time < 0:
             raise ValueError(f"total_time must be finite and >= 0, got {self.total_time}")

@@ -28,6 +28,7 @@ from .core import (
     _check_state,
     _free_step,
     _kick,
+    _real,
     _sample_layout,
     block_minus_identity,
     check_populations,
@@ -70,16 +71,12 @@ def _fold(
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """Run a kick schedule and sample populations along the way.
 
-    The samples are laid out as ``core._sample_layout`` describes: the
-    uniform grid plus both one-sided records at each kick instant (P10 is
+    A kick instant is sampled twice, as its two one-sided limits (P10 is
     continuous there, P01 generally is not), so consumers must not assume
-    strictly increasing sample times.
-
-    The kicks are folded one by one into anchors, the initial state and the
-    state right after each kick.  Every sample is then propagated from its
-    anchor in one vectorized call, so rounding grows with the number of
-    kicks, not with the number of samples.  This is the one-schedule case
-    of ``_run_batch``.
+    strictly increasing sample times; ``core._sample_layout`` places the
+    samples.  Every sample is propagated from the state right after the
+    latest kick before it, so rounding grows with the number of kicks, not
+    with the number of samples.
     """
     batch = [schedule]
     return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))
@@ -92,10 +89,9 @@ def _run_batch(
 
     Each trial's anchors are folded on its own, on Python scalars; then the
     samples of every trial are propagated from their anchors in one pass.
-    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
-    at the layout's ``offsets[r]:offsets[r + 1]``.  Nothing here guards
-    them: a caller wraps them in a ``Trajectory``, or hands the whole batch
-    to ``core._check_samples``, which is the same guard.
+    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``.  Nothing
+    here guards them: a caller wraps them in a ``Trajectory``, or hands the
+    whole batch to ``core._check_samples``, which is the same guard.
     """
     anchors = []
     for schedule in schedules:
@@ -190,7 +186,7 @@ def sweep(
     loss is, while ``1 - p10`` keeps only its absolute precision and reads 0
     once the loss drops below about 1e-16.
     """
-    g_values = tuple(float(g) for g in g_values)
+    g_values = tuple(_real(g) for g in g_values)
     n_values = tuple(_kick_count(n) for n in n_values)
     if not g_values or not n_values:
         raise ValueError("g_values and n_values must be non-empty")

@@ -35,9 +35,7 @@ rows as a scalar would.  Every product therefore runs along one row of one
 trial, with the same operands and in the same numpy loop as a run of that
 trial alone, and a trial's bits do not depend on the other trials.
 
-``_batches`` groups schedules by kick count and sample grid, at most
-``BATCH_AMPLITUDES`` amplitudes (but never fewer than one trial) to a
-working array, and ``_run_batch`` steps each group; ``run_schedule`` is a
+``_run_batch`` steps one batch of ``_batches``; ``run_schedule`` is a
 batch of one.  Each batch allocates one zeroed working array and one
 scratch buffer of ``phi.size // 2`` slots.  The public ``free_step`` and
 ``kick`` run the same kernels on a copy, as a ``(4, 2**n)`` view with
@@ -58,11 +56,7 @@ with row 1 of u, and ``Pvac = p00``.  The samples cost only vector
 arithmetic, and each is one closed-form step from its anchor, so rounding
 does not grow with the number of samples.  The sample times, the anchor
 that owns each sample and each sample's block u come from
-``core._sample_layout``, which lays out every trial of a batch as one flat
-array: each batch is sampled in one pass over the flat anchor weights and
-coherences, trial r's anchor k at row r * (n + 1) + k.  The engine samples
-on the same layout, so ``cli.oracle_engine_deviation`` builds one layout
-per batch for both paths.
+``core._sample_layout``, and a batch is sampled in one pass.
 
 Kick k consumes fresh probe k, and only kick j moves probe bit j, so before
 kick k every amplitude with a probe bit at or above k is exactly zero.  The
@@ -112,11 +106,8 @@ __all__ = [
 ]
 
 MAX_PROBES = 20
-#: amplitudes one batch of ``_batches`` may hold (16 MiB); a
-#: schedule wider than that still runs, as a batch of one
+#: amplitudes one batch of ``_batches`` may hold (16 MiB)
 BATCH_AMPLITUDES = 2**20
-#: constants of a free step of length zero: exactly the identity
-_IDENTITY = (1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -255,35 +246,26 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     return FullState(psi.reshape(-1), state.n_probes)
 
 
-def _trial_constants(
-    kicks: tuple[tuple[float, float], ...], params: SystemParams
-) -> list[tuple[complex, ...]]:
-    """Per kick of one trial: the four constants of the free step before it, then its two.
-
-    Only kick 0 can fall at the current time, at t = 0, and the state is then
-    still exactly |1,0>, which the identity's 1 and 0 keep bit for bit.
-    """
-    now, rows = 0.0, []
-    for t, g in kicks:
-        free = _free_constants(t - now, params) if t > now else _IDENTITY
-        rows.append((*free, *_kick_constants(g)))
-        now = t
-    return rows
-
-
 def _run_batch(
     schedules: list[KickSchedule], params: SystemParams, layout
 ) -> tuple[np.ndarray, ...]:
     """Full-space runs of one batch of ``_batches``, sampled on its ``core._sample_layout``.
 
-    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)``, trial r
-    at the layout's ``offsets[r]:offsets[r + 1]``, as ``engine._run_batch``
-    does.  It refuses more than ``MAX_PROBES`` kicks and guards nothing else.
+    Returns the batch's flat columns ``(t, p10, p01, pvac, norm)`` as
+    ``engine._run_batch`` does.  It refuses more than ``MAX_PROBES`` kicks
+    and guards nothing else.
     """
     trials, n = len(schedules), len(schedules[0].kicks)
     if n > MAX_PROBES:
         raise CapacityError(f"schedule has {n} kicks; dense path supports at most {MAX_PROBES}")
-    rows = [_trial_constants(schedule.kicks, params) for schedule in schedules]
+    # Per kick of each trial: the free step before it, then the kick.  A kick
+    # at t = 0 gets a step of length 0, the identity up to the sign of zeros.
+    rows = []
+    for schedule in schedules:
+        now = 0.0
+        for t, g in schedule.kicks:
+            rows.append((*_free_constants(t - now, params), *_kick_constants(g)))
+            now = t
     table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
     free = table[:, :4, :, None]  # per kick: four (trials, 1) columns
     rotations = table[:, 4:, :, None, None, None]  # per kick: two (trials, 1, 1, 1)
@@ -322,7 +304,8 @@ def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
     """Positions of the schedules, grouped into the batches ``_run_batch`` steps together.
 
     A batch shares one kick count and one sample grid, and holds at most
-    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial.
+    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial, so a
+    caller that runs one batch at a time holds one bounded working array.
     """
     groups: dict[tuple, list[int]] = {}
     for position, schedule in enumerate(schedules):
@@ -337,14 +320,9 @@ def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """Full-space run of a kick schedule; kick k consumes fresh probe k.
 
-    Returns the populations sampled exactly like the reduced engine: the
-    uniform grid plus both one-sided records at each kick instant.  The dense
-    state moves only from kick to kick; every sample is read off the reduced
-    density matrix of the pair right after the latest kick before it.  Each
-    step runs on the live prefix of the working array, the probe states in
-    which no probe beyond the current kick is excited, so the dense work of
-    a run is O(2**n); see the module docstring.  This is ``_run_batch`` on
-    a batch of one trial.
+    Samples the times ``engine.run_schedule`` samples, so the two compare
+    sample by sample.  More than ``MAX_PROBES`` kicks raise CapacityError.
+    The module docstring says how a run is stepped and sampled.
     """
     batch = [schedule]
     return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))

@@ -1,8 +1,10 @@
 """The public names resolve: every ``__all__`` entry, and every name the benchmark reads.
 
 A deletion that breaks ``bench/`` would otherwise show only when someone runs
-the benchmark.  The package root holds only the modules and the types, and
-the README's Python API example runs as written.
+the benchmark.  The package root holds only the modules and the types, the
+README's Python API example runs as written and its tables name every
+scenario key and preset, and no module keeps an import or a private name
+that nothing reads.
 """
 
 import ast
@@ -86,6 +88,17 @@ def test_the_readme_python_api_example_runs():
     assert namespace["p10"] == pytest.approx(0.96218, abs=5e-6)
 
 
+def test_the_readme_lists_every_scenario_key_and_preset():
+    from zenokick import cli
+
+    text = README.read_text()
+    section = text.split("\n### Scenario files\n", 1)[1].split("\n### ", 1)[0]
+    key_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key for cell in key_cells for key in re.findall(r"`([^`]+)`", cell)} == set(cli._KEYS)
+    presets = text.split("\nPresets: ", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`([^`]+)` \(", presets)) == set(cli.PRESETS)
+
+
 def test_importing_the_package_leaves_the_cli_unloaded():
     # ``cli`` (and argparse) load on first use of ``zenokick.cli``.
     src = str(Path(zenokick.__file__).resolve().parents[1])
@@ -159,3 +172,42 @@ def test_no_module_keeps_an_unused_import(path):
                 imported[alias.asname or alias.name] = node.lineno
     used = used_names(tree)
     assert [(line, name) for name, line in imported.items() if name not in used] == []
+
+
+def test_every_private_name_is_read():
+    # A deletion can leave a private helper or constant behind that nothing
+    # reads.  A module's private name is read as a name in its own code, as
+    # a name imported from it, or as an attribute of the module.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCES.glob("*.py"))}
+    read = set()
+    for module, tree in trees.items():
+        origin = {}  # local name -> (module, name) it was imported from
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    source = (node.module, alias.name) if node.module else (alias.name, None)
+                    origin[alias.asname or alias.name] = source
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(origin.get(node.id, (module, node.id)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                imported_module, name = origin.get(node.value.id, (None, None))
+                if imported_module in trees and name is None:
+                    read.add((imported_module, node.attr))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [
+                f"{module}.{name}" for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and (module, name) not in read
+            ]
+    assert unread == []

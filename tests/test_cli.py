@@ -117,6 +117,22 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("scenario = sweep\nmode = diagonal\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("out = ", "out must not be empty"),
+            ("trials = -1", "trials must be >= 0, got -1"),
+            ("seed = -3", "seed must be >= 0, got -3"),
+            ("resolution = -2", "resolution must be >= 0, got -2"),
+        ],
+        ids=["empty-out", "negative-trials", "negative-seed", "negative-resolution"],
+    )
+    def test_a_refused_value_reports_its_line(self, line, message):
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(f"scenario = oracle-check\n{line}\n", "cfg.txt")
+        assert err.value.line == 2
+        assert str(err.value) == f"cfg.txt:2: {message}"
+
     def test_line_without_equals_rejected(self):
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config("scenario = run\njust words\n")
@@ -431,6 +447,23 @@ class TestOracleCheck:
         assert "could not draw 10 distinct kick times" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("N_list = -1..2\nT = 1", "kick counts must be >= 0"),
+            ("N_list = 2\nT = 0", "total_time must be positive, got 0.0"),
+            ("N_list = 2", "scenario 'oracle-check' needs T"),
+        ],
+        ids=["negative-kick-count", "zero-T", "no-T"],
+    )
+    def test_a_scenario_it_cannot_check_is_refused(self, body, message, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        path = tmp_path / "check.txt"
+        path.write_text(f"scenario = oracle-check\ntrials = 3\n{body}\nout = {out}\n")
+        assert cli.main([str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_too_many_kicks_is_a_capacity_error(self, tmp_path):
         config, _ = self.config(tmp_path, n="11")
         from zenokick.core import CapacityError
@@ -513,10 +546,16 @@ class TestCmdRates:
         assert half_pi_rows and abs(half_pi_rows[0]) < 1e-16
         assert "PASS" in capsys.readouterr().out
 
-    def test_off_resonance_is_a_usage_error(self, tmp_path):
+    def test_off_resonance_is_a_usage_error(self, tmp_path, capsys):
+        # The first closed form refuses it, before any finite difference or file.
+        out = tmp_path / "rates.csv"
         path = tmp_path / "r.txt"
-        path.write_text("scenario = rates\neps_a = 0.1\n")
+        path.write_text(f"scenario = rates\neps_a = 0.1\nout = {out}\n")
         assert cli.main([str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: closed-form rates require eps_a == eps_b, got 0.1 and 0.0\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "coupling, code",

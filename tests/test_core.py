@@ -1,6 +1,7 @@
 """Unit and property tests for the domain types and the exact single-step operations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from reference import single_excitation_block
 from scipy.linalg import expm
 from test_engine import SAMPLER_CASES, sampler_schedule
 
+from zenokick import analytics, engine
 from zenokick.core import (
     KickSchedule,
     ReducedState,
@@ -209,11 +211,52 @@ class TestKickSchedule:
         with pytest.raises(ValueError):
             KickSchedule((), 1.0, sample_resolution=-2.0)
 
+    @pytest.mark.parametrize(
+        "kick", [(math.nan, 1.0), (0.5, math.inf)], ids=["nan-time", "inf-strength"]
+    )
+    def test_rejects_a_kick_that_is_not_finite(self, kick):
+        with pytest.raises(ValueError, match="kick times and strengths must be finite"):
+            KickSchedule((kick,), 1.0)
+
     def test_sample_grid_covers_endpoints(self):
         grid = KickSchedule((), 2.0, sample_resolution=10.0).sample_grid()
         assert grid[0] == 0.0 and grid[-1] == 2.0 and len(grid) == 21
         assert len(KickSchedule((), 0.0).sample_grid()) == 1
         assert len(KickSchedule((), 3.0, sample_resolution=0.0).sample_grid()) == 2
+
+
+#: every entry that reads kick times or strengths, once per place it reads one
+REAL_NUMBER_ENTRIES = {
+    "KickSchedule": (
+        lambda x: KickSchedule(((x, 1.0),), 1.0),
+        lambda x: KickSchedule(((0.5, x),), 1.0),
+    ),
+    "sweep": (lambda x: engine.sweep((x,), (3,), total_time=1.0),),
+    "survival_function": (
+        lambda x: analytics.survival_function(((x, 1.0),)),
+        lambda x: analytics.survival_function(((0.5, x),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5"], ids=["str", "bytes"])
+@pytest.mark.parametrize("entry", list(REAL_NUMBER_ENTRIES))
+def test_kick_times_and_strengths_must_be_real_numbers(entry, value):
+    # float() read both: KickSchedule((('0.5', '1'),), 1.0).kicks was ((0.5, 1.0),).
+    message = f"kick times and strengths must be real numbers, got {value!r}"
+    for build in REAL_NUMBER_ENTRIES[entry]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(value)
+
+
+def test_numpy_scalars_read_as_the_floats_they_hold():
+    t, g = np.float64(0.5), np.int64(1)
+    assert KickSchedule(((t, g),), 1.0).kicks == ((0.5, 1.0),)
+    assert all(type(x) is float for x in KickSchedule(((t, g),), 1.0).kicks[0])
+    cells = engine.sweep((np.float64(0.7), np.int64(2)), (3,), total_time=1.0)
+    assert cells.tobytes() == engine.sweep((0.7, 2.0), (3,), total_time=1.0).tobytes()
+    numpy_p10 = analytics.survival_function(((t, g),))(0.7)
+    assert numpy_p10.hex() == analytics.survival_function(((0.5, 1.0),))(0.7).hex()
 
 
 class TestScheduleSteps:
@@ -353,6 +396,25 @@ class TestStateAndTrajectoryValidation:
     def test_reduced_state_rejects_negative_vacuum(self):
         with pytest.raises(ValueError):
             ReducedState(1.0, 0.0, -1e-6)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (complex(math.nan, 0), 0j, 0.0),
+            (1 + 0j, complex(0, math.inf), 0.0),
+            (1 + 0j, 0j, math.nan),
+        ],
+        ids=["a", "b", "v"],
+    )
+    def test_reduced_state_rejects_a_field_that_is_not_finite(self, fields):
+        with pytest.raises(ValueError, match="ReducedState fields must be finite"):
+            ReducedState(*fields)
+
+    @pytest.mark.parametrize("lengths", [(0, 0, 0, 0, 0), (3, 3, 2, 3, 3), (3, 3, 3, 3, 4)],
+                             ids=["empty", "short-p01", "long-norm"])
+    def test_trajectory_columns_must_be_non_empty_and_equally_long(self, lengths):
+        with pytest.raises(ValueError, match="trajectory arrays must be non-empty and equally long"):
+            Trajectory(*(np.zeros(n) for n in lengths))
 
     def test_trajectory_rejects_norm_drift(self):
         t = np.array([0.0, 1.0])

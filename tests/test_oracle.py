@@ -64,6 +64,16 @@ class TestInitialState:
             oracle.initial_state(n)
 
 
+@pytest.mark.parametrize(
+    "size, n_probes, error",
+    [(4, -1, CapacityError), (4, 21, CapacityError), (5, 0, ValueError), (4, 1, ValueError)],
+    ids=["negative", "past-capacity", "odd-size", "too-few"],
+)
+def test_a_full_state_refuses_a_bad_size(size, n_probes, error):
+    with pytest.raises(error):
+        oracle.FullState(np.zeros(size, dtype=complex), n_probes)
+
+
 class TestFreeStep:
     def test_zero_time_is_identity(self):
         state = random_full_state(2, seed=1)
@@ -137,6 +147,11 @@ class TestKick:
         expected = expm(-1j * g * gamma) @ state.amps
         out = oracle.kick(state, probe_index, g)
         np.testing.assert_allclose(out.amps, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_strength_rejected(self, g):
+        with pytest.raises(ValueError, match="kick strength must be finite"):
+            oracle.kick(oracle.initial_state(1), 0, g)
 
     def test_probe_index_out_of_range(self):
         state = oracle.initial_state(2)
