@@ -286,6 +286,7 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
     config = ScenarioConfig(**fields)  # type: ignore[arg-type]
     try:
         _check_size(config)
+        config.params()  # refuses energies whose sum or difference overflows
     except ValueError as exc:
         raise ConfigError(str(exc), source) from None
     return config

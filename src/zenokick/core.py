@@ -56,7 +56,8 @@ class SystemParams:
     """Physical constants of the coupled pair.
 
     coupling: excitation-exchange rate between the qubits, > 0.
-    eps_a, eps_b: excited-state energies of qubit a and qubit b.
+    eps_a, eps_b: excited-state energies of qubit a and qubit b; their sum
+        and their difference must not overflow.
     """
 
     coupling: float = 1.0
@@ -66,6 +67,11 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.coupling, self.eps_a, self.eps_b)):
             raise ValueError("SystemParams fields must be finite")
+        if not all(math.isfinite(v) for v in (self.eps_a + self.eps_b, self.eps_a - self.eps_b)):
+            raise ValueError(
+                "eps_a + eps_b and eps_a - eps_b must not overflow, "
+                f"got eps_a = {self.eps_a:g} and eps_b = {self.eps_b:g}"
+            )
         if self.coupling <= 0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
 

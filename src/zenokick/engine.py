@@ -119,8 +119,10 @@ def final_state(
     strictly increasing) kick times: repeated times mean back-to-back kicks
     with no free evolution in between.  The returned state passes the
     population and norm guard of a ``Trajectory``; a ValueError is raised
-    otherwise.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
+    otherwise.  Kick times and strengths are read as ``KickSchedule`` reads
+    them.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
     """
+    kicks = ((_real(t), _real(g)) for t, g in kicks)
     return ReducedState(*_final(kicks, total_time, params))
 
 
@@ -257,14 +259,18 @@ def _equally_spaced_populations(
     so pvac = sin^2 g (S_n)_00 with S_n = sum_{k<n} (M^k)^dagger Q M^k and
     Q = U^dagger |b><b| U; it doubles as S_{p+r} = S_p + (M^p)^dagger S_r M^p.
 
-    U is taken with the mean energy (eps_a + eps_b) / 2 removed from both
-    qubits.  That only drops a global phase, which no population sees, but
-    the phase would put a rotation into D that the doubling squares for
-    nothing: the norm then drifted in proportion to n.  With eps_a + eps_b
-    = 0 the energies, and so every bit, stay as they are.
+    U is taken with the survivor's own energy eps_a removed from both
+    qubits (eps_a' = 0, eps_b' = eps_b - eps_a).  That only drops a global
+    phase of the single-excitation block, which no population sees: the
+    vacuum does not interfere with it and |1,1> is never populated.  A
+    phase left turning on |1,0> would be a rotation in D that no kick damps,
+    so the doubling would carry its rounding n times and the norm would
+    drift in proportion to n; removing the mean energy instead would leave
+    (eps_a - eps_b) tau / 2 per period there.  At eps_a == eps_b both
+    energies become 0, so a common energy reads bit for bit as none.
+    ``SystemParams`` refuses energies whose difference overflows.
     """
-    mean = 0.5 * params.eps_a + 0.5 * params.eps_b  # cannot overflow
-    params = replace(params, eps_a=params.eps_a - mean, eps_b=params.eps_b - mean)
+    params = replace(params, eps_a=0.0, eps_b=params.eps_b - params.eps_a)
     u_minus_identity = block_minus_identity(tau, params)
     power_d = u_minus_identity.copy()
     power_d[1] *= np.cos(g)

@@ -37,9 +37,10 @@ trial alone, and a trial's bits do not depend on the other trials.
 
 ``_run_batch`` steps one batch of ``_batches``; ``run_schedule`` is a
 batch of one.  Each batch allocates one zeroed working array and one
-scratch buffer of ``phi.size // 2`` slots.  The public ``free_step`` and
-``kick`` run the same kernels on a copy, as a ``(4, 2**n)`` view with
-scalar constants: the kernels index from the last axis (``phi[..., s, :]``).
+scratch buffer of ``phi.size // 4`` slots, all that the free step and the
+anchor read use; its kicks need none.  The public ``free_step`` and
+``kick`` run their kernels on a copy, as a ``(4, 2**n)`` view with scalar
+constants: the kernels index from the last axis (``phi[..., s, :]``).
 
 Sampling a run
 --------------
@@ -63,19 +64,27 @@ kick k every amplitude with a probe bit at or above k is exactly zero.  The
 dense steps therefore run on the live prefix: the free step before kick k on
 ``phi[..., :2**k]``, and kick k with its anchor read on
 ``phi[..., :2**(k+1)]``.  The prefixes double from kick to kick, so a run
-costs O(2**n) dense work instead of O(n 2**n), with the same kernels and the
-same bits.  This is not
-a sparse oracle: every amplitude of every probe touched so far is stored and
-stepped densely, whatever its value, the final working array holds all
+costs O(2**n) dense work instead of O(n 2**n).  Kick k's partner half y,
+the columns its prefix adds, is still zero, so the rotation reduces to
+``y = (-i sin g) * x`` and ``x = cos g * x``: the run's kick writes y
+without reading it, then scales x in place (``_fresh_kick_in_place``), and
+gives the full rotation's amplitudes up to the sign of a zero.  The public
+``kick`` rotates any probe of any state (``_kick_in_place``).  This is not
+a sparse oracle: every amplitude of every probe touched so far is stored
+and stepped densely, whatever its value, the final working array holds all
 ``4 * 2**n`` amplitudes, and nothing of the engine's reduction is used.
 
-Each product is computed as the out-of-place expression ``u[i, j] * x`` or
-``cos g * x - (i sin g) * y`` would compute it, in that operand order and
-never written over one of its own operands: numpy's in-place complex
-multiply can round an ulp differently.  The one in-place product on the
-state is the |1,1> phase, ``row *= phase``; the coherence read multiplies
-``conj(x01)`` by ``x10`` in place in the scratch buffer, since it only feeds
-a sum.
+Each product on the state is computed as the out-of-place expression
+``u[i, j] * x`` or ``cos g * x - (i sin g) * y`` would compute it, in that
+operand order and never written over one of its own operands: numpy's
+in-place complex multiply can round an ulp differently.  The one exception
+is a factor with a zero part: ``cos g`` is purely real and ``i sin g``
+purely imaginary, so each part of such a product is one real product
+rounded once, in place or not, with or without FMA; the run's kick
+therefore scales x in place.  The rule does not bind the |1,1> phase,
+``row *= phase``, on a row that no run populates, nor the coherence read,
+which multiplies ``conj(x01)`` by ``x10`` in place in the scratch buffer,
+since it only feeds a sum.
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ from .core import (
     SystemParams,
     Trajectory,
     _block_entries,
+    _real,
     _sample_layout,
 )
 
@@ -178,25 +188,31 @@ def _free_step_in_place(phi: np.ndarray, constants, scratch: np.ndarray) -> None
     np.multiply(phi[..., 3, :], phase, out=phi[..., 3, :])
 
 
-def _kick_in_place(phi: np.ndarray, probe_index: int, cg, isg, scratch: np.ndarray) -> None:
-    """Kick rotation on a (4, m) or (trials, 4, m) array; ``scratch`` needs phi.size / 2.
+def _kick_pairs(phi: np.ndarray, probe_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs (x, y) of a kick on probe k, as views of a (4, m) or (trials, 4, m) array.
 
-    ``cg`` and ``isg`` are the two values of ``_kick_constants``, each a
-    scalar or a (trials, 1, 1, 1) column.  With
-    ``quad = phi.reshape(..., 4, 2**(n-k-1), 2, 2**k)`` the probe-k bit is
-    the second axis from the end, so (b=1, probe=0) is
+    With ``quad = phi.reshape(..., 4, 2**(n-k-1), 2, 2**k)`` the probe-k bit
+    is the second axis from the end, so (b=1, probe=0) is
     ``quad[..., s | 1, :, 0, :]`` and its partner (b=0, probe=1) is
     ``quad[..., s, :, 1, :]`` for each a-bit row pair s in {0, 2};
-    ``quad[..., 1::2, :, 0, :]`` and ``quad[..., 0::2, :, 1, :]`` hold both
-    pairs at once.
+    ``x = quad[..., 1::2, :, 0, :]`` and ``y = quad[..., 0::2, :, 1, :]``
+    hold both pairs at once.
     """
     n_probes = phi.shape[-1].bit_length() - 1
     if not 0 <= probe_index < n_probes:
         raise IndexError(f"probe index {probe_index} out of range for {n_probes} probes")
     shape = (*phi.shape[:-1], 2 ** (n_probes - probe_index - 1), 2, 2**probe_index)
     quad = phi.reshape(shape)  # splitting one axis never copies, so writes land in phi
-    x = quad[..., 1::2, :, 0, :]  # b excited, probe ground
-    y = quad[..., 0::2, :, 1, :]  # b ground, probe excited
+    return quad[..., 1::2, :, 0, :], quad[..., 0::2, :, 1, :]
+
+
+def _kick_in_place(phi: np.ndarray, probe_index: int, cg, isg, scratch: np.ndarray) -> None:
+    """Kick rotation of ``_kick_pairs`` on any array; ``scratch`` needs phi.size / 2.
+
+    ``cg`` and ``isg`` are the two values of ``_kick_constants``, each a
+    scalar or a (trials, 1, 1, 1) column.
+    """
+    x, y = _kick_pairs(phi, probe_index)
     t1 = scratch[: x.size].reshape(x.shape)
     t2 = scratch[x.size : 2 * x.size].reshape(x.shape)
     np.multiply(cg, x, out=t1)
@@ -206,6 +222,18 @@ def _kick_in_place(phi: np.ndarray, probe_index: int, cg, isg, scratch: np.ndarr
     np.multiply(isg, x, out=y)
     np.subtract(t2, y, out=y)
     x[...] = t1
+
+
+def _fresh_kick_in_place(phi: np.ndarray, probe_index: int, cg, misg) -> None:
+    """Kick rotation of ``_kick_pairs`` on an array whose probe-k half is still zero.
+
+    With y = 0 the rotation reduces to y = (-i sin g) x, written into y
+    without reading it, then x = (cos g) x in place.  ``cg`` and ``misg``
+    are cos g and -i sin g, each a scalar or a (trials, 1, 1, 1) column.
+    """
+    x, y = _kick_pairs(phi, probe_index)
+    np.multiply(misg, x, out=y)
+    np.multiply(cg, x, out=x)
 
 
 def initial_state(n_probes: int) -> FullState:
@@ -239,7 +267,7 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     directly (instead of exponentiating a matrix) keeps the kick exactly
     unitary and exactly the identity where the exchange generator vanishes.
     """
-    cg, isg = _kick_constants(g)
+    cg, isg = _kick_constants(_real(g))
     psi = state.amps.reshape(-1, 4).copy()
     scratch = np.empty(psi.size // 2, dtype=np.complex128)
     _kick_in_place(psi.T, probe_index, cg, isg, scratch)
@@ -264,20 +292,21 @@ def _run_batch(
     for schedule in schedules:
         now = 0.0
         for t, g in schedule.kicks:
-            rows.append((*_free_constants(t - now, params), *_kick_constants(g)))
+            cg, isg = _kick_constants(g)
+            rows.append((*_free_constants(t - now, params), cg, -isg))
             now = t
     table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
     free = table[:, :4, :, None]  # per kick: four (trials, 1) columns
-    rotations = table[:, 4:, :, None, None, None]  # per kick: two (trials, 1, 1, 1)
+    rotations = table[:, 4:, :, None, None, None]  # per kick: cos g, -i sin g as (trials, 1, 1, 1)
     phi = np.zeros((trials, 4, 2**n), dtype=np.complex128)
     phi[:, 2, 0] = 1.0  # |1,0> with every probe in its ground state
-    scratch = np.empty(phi.size // 2, dtype=np.complex128)
+    scratch = np.empty(phi.size // 4, dtype=np.complex128)
     live = phi[..., :1]  # before kick k only probe states below 2**k hold weight
     anchors = [_read_anchor(live, scratch)]  # each: (p00, p01 = B, p10 = A, p11) and C
     for index in range(n):
         _free_step_in_place(live, free[index], scratch)
         live = phi[..., : 2 ** (index + 1)]
-        _kick_in_place(live, index, *rotations[index], scratch)
+        _fresh_kick_in_place(live, index, *rotations[index])
         anchors.append(_read_anchor(live, scratch))
     pops, cross = zip(*anchors)
     # Flat anchors, trial by trial: trial r's anchor k is row r * (n + 1) + k.

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -664,12 +665,16 @@ class TestMainPlumbing:
              "omega * T overflows"),
             ("scenario = run\nT = 1e-310\nresolution = 1000",
              "resolution / T overflows (resolution = 1000, T = 1e-310)"),
+            ("scenario = rates\neps_a = 1e308\neps_b = 1e308",
+             "eps_a + eps_b and eps_a - eps_b must not overflow"),
         ],
     )
     def test_overflow_names_its_cause(self, body, cause, tmp_path, capsys):
         out = tmp_path / "x.csv"
         path = tmp_path / "x.txt"
         path.write_text(f"{body}\nout = {out}\n")
+        with pytest.raises(cli.ConfigError, match=re.escape(cause)):
+            cli.parse_config(path.read_text())
         assert cli.main([str(path)]) == 2
         assert cause in capsys.readouterr().err
         assert not out.exists()

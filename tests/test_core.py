@@ -11,7 +11,7 @@ from reference import single_excitation_block
 from scipy.linalg import expm
 from test_engine import SAMPLER_CASES, sampler_schedule
 
-from zenokick import analytics, engine
+from zenokick import analytics, engine, oracle
 from zenokick.core import (
     KickSchedule,
     ReducedState,
@@ -56,6 +56,18 @@ class TestSystemParams:
     def test_rejects_non_finite_energy(self):
         with pytest.raises(ValueError):
             SystemParams(eps_a=math.inf)
+
+    @pytest.mark.parametrize(
+        "eps_a, eps_b",
+        [(-1e308, 1e308), (1e308, 1e308), (1e308, -1e308), (-1e308, -1e308)],
+        ids=["difference", "sum", "negative-difference", "negative-sum"],
+    )
+    def test_rejects_energies_whose_sum_or_difference_overflows(self, eps_a, eps_b):
+        # A sweep of such a pair warned "invalid value encountered in sin" and
+        # returned NaN cells; the suite's warnings-as-errors would catch that.
+        with pytest.raises(ValueError, match=r"eps_a \+ eps_b and eps_a - eps_b must not overflow"):
+            engine.sweep((1.0,), (3,), total_time=1.0, params=SystemParams(1.0, eps_a, eps_b))
+        assert SystemParams(1.0, eps_a / 2, eps_b / 2).eps_b == eps_b / 2
 
 
 class TestFreePropagate:
@@ -236,6 +248,11 @@ REAL_NUMBER_ENTRIES = {
         lambda x: analytics.survival_function(((x, 1.0),)),
         lambda x: analytics.survival_function(((0.5, x),)),
     ),
+    "final_state": (
+        lambda x: engine.final_state(((x, 1.0),), 1.0, RESONANT),
+        lambda x: engine.final_state(((0.5, x),), 1.0, RESONANT),
+    ),
+    "oracle.kick": (lambda x: oracle.kick(oracle.initial_state(1), 0, x),),
 }
 
 

@@ -323,7 +323,9 @@ LOSS_PARAMS = [SystemParams(), SystemParams(1.0, 0.7, 0.7), SystemParams(1.3, 0.
 
 @pytest.mark.parametrize("params", LOSS_PARAMS, ids=["resonant", "common-energy", "detuned"])
 @pytest.mark.parametrize(
-    "timing", [{"total_time": math.pi / 2}, {"interval": 1e-9}], ids=["total", "interval"]
+    "timing",
+    [{"total_time": math.pi / 2}, {"interval": 1e-9}, {"interval": 1e-3}],
+    ids=["total", "interval", "interval-1e-3"],
 )
 def test_the_loss_is_p01_plus_pvac_to_full_relative_precision(params, timing):
     # 1 - p10 rounds away a loss below about 1e-16; p01 + pvac keeps it.
@@ -356,11 +358,6 @@ def test_the_loss_of_a_long_run_with_a_common_energy():
     assert loss == long_run_loss(SystemParams())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the doubling's norm drift grows with n when eps_a != eps_b: "
-    "1.0e-11 at n = 2**30, tau = 1e-3, which leaves the loss 9.7e-12 off",
-)
 def test_the_loss_of_a_long_detuned_run():
     params = SystemParams(1.3, 0.4, -0.2)
     expected = mpmath_loss(*LONG_RUN, params)

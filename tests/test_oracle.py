@@ -196,6 +196,23 @@ class TestBitForBit:
                 out = oracle.kick(state, probe_index, g)
                 np.testing.assert_array_equal(out.amps, psi.reshape(-1))
 
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_fresh_kick(self, width):
+        # A run kicks probe k while every amplitude with probe bit k set is
+        # still zero; there the two-pass kernel gives the full rotation's values.
+        rng = np.random.default_rng(70 + width)
+        strengths = (0.0, math.pi, -1.3, 0.7, -math.pi, 4.4, -7.0)
+        constants = np.array([oracle._kick_constants(g) for g in strengths]).T
+        cg, isg = constants[:, :, None, None, None]
+        shape = (len(strengths), 4, 2**width)
+        for k in range(width):
+            phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            phi.reshape(*shape[:2], -1, 2, 2**k)[..., 1, :] = 0
+            expected = phi.copy()
+            oracle._kick_in_place(expected, k, cg, isg, np.empty(phi.size // 2, dtype=complex))
+            oracle._fresh_kick_in_place(phi, k, cg, -isg)
+            np.testing.assert_array_equal(phi, expected)
+
 
 class TestInputUnchanged:
     def test_kick_leaves_its_input_unchanged(self):
@@ -413,9 +430,9 @@ class TestLivePrefix:
             columns = np.array(constants).T[:, :, None]
             steps.append(lambda a, c=columns: oracle._free_step_in_place(a, c, scratch))
         cg, isg = np.array([oracle._kick_constants(g) for g in (1.1, 0, 4)]).T[:, :, None, None, None]
-        steps += [
-            lambda a, k=k: oracle._kick_in_place(a, k, cg, isg, scratch) for k in range(width)
-        ]
+        for k in range(width):
+            steps.append(lambda a, k=k: oracle._kick_in_place(a, k, cg, isg, scratch))
+            steps.append(lambda a, k=k: oracle._fresh_kick_in_place(a, k, cg, -isg))
         for step in steps:
             before = phi.copy()
             expected = phi[:, :, : 2**width].copy()
