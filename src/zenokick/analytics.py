@@ -57,7 +57,7 @@ def rate_after_one_kick(t_m: float, g: float, params: SystemParams | None = None
     complete measurement (g = pi/2), sign-inverted with reduced magnitude for
     pi/2 < g < pi, and purely sign-inverted at g = pi.
     """
-    return rate_free(t_m, params) * math.cos(g)
+    return rate_free(t_m, params) * math.cos(_real(g))
 
 
 def rate_super_zeno(t_m: float, t: float, params: SystemParams | None = None) -> float:
@@ -84,7 +84,7 @@ def rate_after_n_kicks(
     if n < 0:
         raise ValueError(f"kick count must be >= 0, got {n}")
     rate = rate_free(t1, params)
-    cg = math.cos(g)
+    cg = math.cos(_real(g))
     for _ in range(n):
         rate *= cg
     return rate
@@ -104,7 +104,7 @@ def zeno_loss(
     c = _resonant_coupling(params or SystemParams())
     if n < 1:
         raise ValueError(f"kick count must be >= 1, got {n}")
-    half = math.sin(0.5 * g) ** 2  # (1 - cos g) / 2 without cancellation
+    half = math.sin(0.5 * _real(g)) ** 2  # (1 - cos g) / 2 without cancellation
     if half == 0.0:
         raise ValueError(f"the Zeno law needs 1 - cos g > 0, got g = {g}")
     return (c * total_time) ** 2 * (1.0 - half) / (half * n)
@@ -119,18 +119,16 @@ def survival_function(
     Each evaluation runs the reduced path fresh, applying the kicks with time
     <= t (ties included; P10 is continuous at kick instants so the boundary
     choice is invisible): the fold and guard of ``engine.final_state``, on
-    plain scalars.  Repeated kick times mean back-to-back kicks.
-    A kick time that is negative or not finite, or a strength that is not
-    finite, raises ValueError here, not at the first evaluation.
+    plain scalars.  Repeated kick times mean back-to-back kicks.  A bad kick
+    value or a negative kick time raises ValueError here, not at the first
+    evaluation; an evaluation time is refused as ``final_state``'s total_time.
     """
     p = params or SystemParams()
     sequence = tuple(sorted(((_real(t), _real(g)) for t, g in kicks), key=lambda k: k[0]))
-    if not all(math.isfinite(t) and t >= 0 and math.isfinite(g) for t, g in sequence):
-        raise ValueError("kick times must be finite and >= 0, and strengths finite")
+    if sequence and sequence[0][0] < 0:
+        raise ValueError(f"kick times must be >= 0, got {sequence[0][0]}")
 
     def p10(t: float) -> float:
-        if not math.isfinite(t) or t < 0:
-            raise ValueError(f"time must be finite and >= 0, got {t}")
         included = [(tm, g) for tm, g in sequence if tm <= t]
         a, _, _ = engine._final(included, t, p)
         return a.real**2 + a.imag**2  # ``ReducedState.p10``

@@ -54,6 +54,7 @@ from .core import (
     OffResonanceError,
     SystemParams,
     Trajectory,
+    _check_free_step,
     _check_samples,
     _sample_layout,
 )
@@ -298,9 +299,8 @@ def _check_size(config: ScenarioConfig) -> None:
     The sample count is (strengths or trials) x (grid points + a pre and a
     post record per kick), exact unless a kick falls on a grid point; a
     sweep's cell count is strengths x kick counts, and the samples per unit
-    time, ``resolution / T``, must stay finite.  The longest free step
-    (``T``, or ``tau`` for an interval sweep) times each rate of the pair
-    Hamiltonian must be a finite angle, or the propagators would turn to NaN.
+    time, ``resolution / T``, must stay finite.  The longest free step,
+    ``T`` or ``tau`` for an interval sweep, must pass ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
     finite-difference steps stop resolving the dynamics.
     """
@@ -337,13 +337,8 @@ def _check_size(config: ScenarioConfig) -> None:
             raise ValueError(
                 f"resolution / T overflows (resolution = {config.resolution}, T = {step:g})"
             )
-    omega = math.hypot(0.5 * (config.eps_a - config.eps_b), config.coupling)
-    for rate, name in ((omega, "omega"), (config.eps_a + config.eps_b, "(eps_a + eps_b)")):
-        if not math.isfinite(rate * step):
-            raise ValueError(
-                f"{name} * {step_name} overflows ({name} = {rate:g}, {step_name} = {step:g}); "
-                "reduce G, eps_a, eps_b or the run time"
-            )
+    if step >= 0:  # a negative duration is refused where the scenario runs
+        _check_free_step(step, config, step_name)
 
 
 PRESETS: dict[str, str] = {

@@ -81,15 +81,38 @@ class SystemParams:
 
 
 def _real(value) -> float:
-    """A kick time or strength as a float; ValueError unless it is a real number.
+    """A kick time or strength as a float; ValueError unless it is a finite real number.
 
-    ``float()`` alone would also read strings and bytes such as ``'0.5'``.
-    Ints and numpy scalars are real numbers and convert as ``float()`` does.
+    Every public entry reads its kick values here, and no code after it
+    checks them again.  ``float()`` alone would also read ``'0.5'`` or
+    ``b'0.5'``; ints and numpy scalars convert as ``float()`` does.
     """
     # A Python float skips the ABC check, which costs about 30 times more.
     if type(value) is not float and not isinstance(value, numbers.Real):
         raise ValueError(f"kick times and strengths must be real numbers, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"kick times and strengths must be finite, got {value}")
+    return value
+
+
+def _check_free_step(dt: float, params, name: str = "dt") -> None:
+    """ValueError unless a free step ``dt`` is finite, >= 0 and turns finite angles.
+
+    The angles are ``omega * dt`` and ``(eps_a + eps_b) * dt``, the full sum
+    being the dense |1,1> phase's; past them a propagator turns to NaN.
+    ``params`` needs only ``coupling``, ``eps_a`` and ``eps_b``, so ``cli``
+    passes a scenario config; ``name`` names the step in the message.
+    """
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {dt}")
+    omega = math.hypot(0.5 * (params.eps_a - params.eps_b), params.coupling)
+    for rate, rate_name in ((omega, "omega"), (params.eps_a + params.eps_b, "(eps_a + eps_b)")):
+        if not math.isfinite(rate * float(dt)):  # a numpy product would warn first
+            raise ValueError(
+                f"{rate_name} * {name} overflows ({rate_name} = {rate:g}, {name} = {dt:g}); "
+                "reduce G, eps_a, eps_b or the run time"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,9 +137,7 @@ class KickSchedule:
         if not math.isfinite(self.sample_resolution) or self.sample_resolution < 0:
             raise ValueError("sample_resolution must be finite and >= 0")
         previous = -math.inf
-        for t, g in kicks:
-            if not (math.isfinite(t) and math.isfinite(g)):
-                raise ValueError("kick times and strengths must be finite")
+        for t, _ in kicks:
             if not 0.0 <= t <= self.total_time:
                 raise ValueError(f"kick time {t} outside [0, {self.total_time}]")
             if t <= previous:
@@ -259,8 +280,8 @@ def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
     Returns shape (2, 2, *dt.shape): entry [i, j] is an array over dt.
     """
     dt = np.asarray(dt, dtype=float)
-    if not np.all(np.isfinite(dt)) or np.any(dt < 0):
-        raise ValueError("dt must be finite and >= 0")
+    _check_free_step(dt.min(initial=0.0), params)  # a negative or NaN step
+    _check_free_step(dt.max(initial=0.0), params)  # the widest angles
     half_sum = 0.5 * (params.eps_a + params.eps_b)
     half_diff = 0.5 * (params.eps_a - params.eps_b)
     omega = math.hypot(half_diff, params.coupling)
@@ -286,8 +307,6 @@ def _free_step(a: complex, b: complex, dt: float, params: SystemParams) -> tuple
 
 def _kick(a: complex, b: complex, v: float, g: float) -> tuple[complex, complex, float]:
     """(a, b, v) after a kick of strength g, on plain scalars; see ``apply_kick``."""
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
     cg = math.cos(g)
     sg = math.sin(g)
     return a, b * cg, v + (b.real**2 + b.imag**2) * sg * sg
@@ -299,6 +318,7 @@ def free_propagate(state: ReducedState, dt: float, params: SystemParams) -> Redu
     |0,0> is an eigenstate of the pair Hamiltonian with eigenvalue 0, so ``v``
     is carried through unchanged.
     """
+    _check_free_step(dt, params)
     return ReducedState(*_free_step(state.a, state.b, dt, params), state.v)
 
 
@@ -310,7 +330,7 @@ def apply_kick(state: ReducedState, g: float) -> ReducedState:
     orthogonal and the vacuum does not evolve, which is why the leaked weight
     can be accumulated additively in the scalar ``v``.
     """
-    return ReducedState(*_kick(state.a, state.b, state.v, g))
+    return ReducedState(*_kick(state.a, state.b, state.v, _real(g)))
 
 
 def schedule_steps(schedule: KickSchedule) -> list[tuple]:

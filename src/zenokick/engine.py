@@ -25,6 +25,7 @@ from .core import (
     ReducedState,
     SystemParams,
     Trajectory,
+    _check_free_step,
     _check_state,
     _free_step,
     _kick,
@@ -134,8 +135,7 @@ def _final(
     Takes the same inputs and raises the same errors; a caller that wants
     only a population skips building the frozen state.
     """
-    if not math.isfinite(total_time) or total_time < 0:
-        raise ValueError(f"total_time must be finite and >= 0, got {total_time}")
+    _check_free_step(total_time, params, "total_time")  # no step of the fold is longer
     now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
     for now, a, b, v in _fold(kicks, total_time, params):
         pass
@@ -192,8 +192,6 @@ def sweep(
     n_values = tuple(_kick_count(n) for n in n_values)
     if not g_values or not n_values:
         raise ValueError("g_values and n_values must be non-empty")
-    if any(not math.isfinite(g) for g in g_values):
-        raise ValueError("kick strengths must be finite")
     if any(n < 0 or n > MAX_KICKS for n in n_values):
         raise ValueError(f"kick counts must lie in [0, {MAX_KICKS}]")
     if (total_time is None) == (interval is None):

@@ -28,7 +28,7 @@ contiguous, so they also run on a column prefix ``phi[..., :2**j]``, which
 holds every probe state with no probe at or above j excited: its rows keep
 the full row stride, and splitting one axis of it still never copies.
 
-Each trial's constants (block entries, phase, ``cos g`` and ``i sin g``)
+Each trial's constants (block entries, phase, ``cos g`` and ``-i sin g``)
 are computed on Python scalars, one trial at a time, and enter the kernels
 as a column with one value per trial, which stays fixed along the trial's
 rows as a scalar would.  Every product therefore runs along one row of one
@@ -38,9 +38,11 @@ trial alone, and a trial's bits do not depend on the other trials.
 ``_run_batch`` steps one batch of ``_batches``; ``run_schedule`` is a
 batch of one.  Each batch allocates one zeroed working array and one
 scratch buffer of ``phi.size // 4`` slots, all that the free step and the
-anchor read use; its kicks need none.  The public ``free_step`` and
-``kick`` run their kernels on a copy, as a ``(4, 2**n)`` view with scalar
-constants: the kernels index from the last axis (``phi[..., s, :]``).
+anchor read use; its kicks need none.  The public ``free_step`` runs its
+kernel on a copy, as a ``(4, 2**n)`` view with scalar constants: the
+kernels index from the last axis (``phi[..., s, :]``).  The public ``kick``
+rotates a copy's ``_kick_pairs`` views as ``cos g * x - (i sin g) * y``
+and its mirror, out of place.
 
 Sampling a run
 --------------
@@ -68,8 +70,7 @@ costs O(2**n) dense work instead of O(n 2**n).  Kick k's partner half y,
 the columns its prefix adds, is still zero, so the rotation reduces to
 ``y = (-i sin g) * x`` and ``x = cos g * x``: the run's kick writes y
 without reading it, then scales x in place (``_fresh_kick_in_place``), and
-gives the full rotation's amplitudes up to the sign of a zero.  The public
-``kick`` rotates any probe of any state (``_kick_in_place``).  This is not
+gives the full rotation's amplitudes up to the sign of a zero.  This is not
 a sparse oracle: every amplitude of every probe touched so far is stored
 and stepped densely, whatever its value, the final working array holds all
 ``4 * 2**n`` amplitudes, and nothing of the engine's reduction is used.
@@ -102,6 +103,7 @@ from .core import (
     SystemParams,
     Trajectory,
     _block_entries,
+    _check_free_step,
     _real,
     _sample_layout,
 )
@@ -161,13 +163,6 @@ def _free_constants(dt: float, params: SystemParams) -> tuple[complex, complex, 
     return (*_block_entries(dt, params), cmath.exp(-1j * (params.eps_a + params.eps_b) * dt))
 
 
-def _kick_constants(g: float) -> tuple[float, complex]:
-    """(cos g, i sin g) of a kick of strength g."""
-    if not math.isfinite(g):
-        raise ValueError(f"kick strength must be finite, got {g}")
-    return math.cos(g), 1j * math.sin(g)
-
-
 def _free_step_in_place(phi: np.ndarray, constants, scratch: np.ndarray) -> None:
     """exp(-i H_pair dt) on a (4, m) or (trials, 4, m) array; ``scratch`` needs phi.size / 2.
 
@@ -206,24 +201,6 @@ def _kick_pairs(phi: np.ndarray, probe_index: int) -> tuple[np.ndarray, np.ndarr
     return quad[..., 1::2, :, 0, :], quad[..., 0::2, :, 1, :]
 
 
-def _kick_in_place(phi: np.ndarray, probe_index: int, cg, isg, scratch: np.ndarray) -> None:
-    """Kick rotation of ``_kick_pairs`` on any array; ``scratch`` needs phi.size / 2.
-
-    ``cg`` and ``isg`` are the two values of ``_kick_constants``, each a
-    scalar or a (trials, 1, 1, 1) column.
-    """
-    x, y = _kick_pairs(phi, probe_index)
-    t1 = scratch[: x.size].reshape(x.shape)
-    t2 = scratch[x.size : 2 * x.size].reshape(x.shape)
-    np.multiply(cg, x, out=t1)
-    np.multiply(isg, y, out=t2)
-    np.subtract(t1, t2, out=t1)
-    np.multiply(cg, y, out=t2)
-    np.multiply(isg, x, out=y)
-    np.subtract(t2, y, out=y)
-    x[...] = t1
-
-
 def _fresh_kick_in_place(phi: np.ndarray, probe_index: int, cg, misg) -> None:
     """Kick rotation of ``_kick_pairs`` on an array whose probe-k half is still zero.
 
@@ -252,6 +229,7 @@ def free_step(state: FullState, dt: float, params: SystemParams) -> FullState:
     2x2 rotation inside each single-excitation block, eigenphases on |0,0>
     (eigenvalue 0) and |1,1> (eps_a + eps_b).
     """
+    _check_free_step(dt, params)
     psi = state.amps.reshape(-1, 4).copy()
     constants = _free_constants(dt, params)
     _free_step_in_place(psi.T, constants, np.empty(psi.size // 2, dtype=np.complex128))
@@ -267,10 +245,11 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
     directly (instead of exponentiating a matrix) keeps the kick exactly
     unitary and exactly the identity where the exchange generator vanishes.
     """
-    cg, isg = _kick_constants(_real(g))
+    g = _real(g)
+    cg, isg = math.cos(g), 1j * math.sin(g)
     psi = state.amps.reshape(-1, 4).copy()
-    scratch = np.empty(psi.size // 2, dtype=np.complex128)
-    _kick_in_place(psi.T, probe_index, cg, isg, scratch)
+    x, y = _kick_pairs(psi.T, probe_index)
+    x[...], y[...] = cg * x - isg * y, cg * y - isg * x
     return FullState(psi.reshape(-1), state.n_probes)
 
 
@@ -292,8 +271,8 @@ def _run_batch(
     for schedule in schedules:
         now = 0.0
         for t, g in schedule.kicks:
-            cg, isg = _kick_constants(g)
-            rows.append((*_free_constants(t - now, params), cg, -isg))
+            # -(i sin g), not (-i) sin g: the two can differ in the sign of a zero
+            rows.append((*_free_constants(t - now, params), math.cos(g), -(1j * math.sin(g))))
             now = t
     table = np.array(rows, dtype=np.complex128).reshape(trials, n, 6).transpose(1, 2, 0)
     free = table[:, :4, :, None]  # per kick: four (trials, 1) columns

@@ -9,6 +9,7 @@ that nothing reads.
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -97,6 +98,28 @@ def test_the_readme_lists_every_scenario_key_and_preset():
     assert {key for cell in key_cells for key in re.findall(r"`([^`]+)`", cell)} == set(cli._KEYS)
     presets = text.split("\nPresets: ", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`([^`]+)` \(", presets)) == set(cli.PRESETS)
+
+
+def test_every_entry_that_takes_a_kick_value_is_in_the_refusal_table():
+    # A new public entry that takes g, g_values or kicks must show there that
+    # it reads them through ``core._real``.
+    from test_core import REAL_NUMBER_ENTRIES
+
+    def module_of(name):
+        (module,) = [m for m in MODULES if name in importlib.import_module(f"zenokick.{m}").__all__]
+        return module
+
+    table = {key if "." in key else f"{module_of(key)}.{key}" for key in REAL_NUMBER_ENTRIES}
+    takes = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"zenokick.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+                continue
+            if {"g", "g_values", "kicks"} & set(inspect.signature(obj).parameters):
+                takes.add(f"{module}.{name}")
+    assert takes and takes <= table, sorted(takes - table)
 
 
 def test_importing_the_package_leaves_the_cli_unloaded():

@@ -237,7 +237,8 @@ class TestKickSchedule:
         assert len(KickSchedule((), 3.0, sample_resolution=0.0).sample_grid()) == 2
 
 
-#: every entry that reads kick times or strengths, once per place it reads one
+#: every public entry that takes kick times or strengths, once per place it reads one;
+#: ``tests/test_api.py`` holds every public signature with ``g``, ``g_values`` or ``kicks`` to it
 REAL_NUMBER_ENTRIES = {
     "KickSchedule": (
         lambda x: KickSchedule(((x, 1.0),), 1.0),
@@ -253,17 +254,89 @@ REAL_NUMBER_ENTRIES = {
         lambda x: engine.final_state(((0.5, x),), 1.0, RESONANT),
     ),
     "oracle.kick": (lambda x: oracle.kick(oracle.initial_state(1), 0, x),),
+    "apply_kick": (lambda x: apply_kick(ReducedState(), x),),
+    "run_equally_spaced": (lambda x: engine.run_equally_spaced(3, x, total_time=1.0),),
+    "rate_after_one_kick": (lambda x: analytics.rate_after_one_kick(0.3, x),),
+    "rate_after_n_kicks": (lambda x: analytics.rate_after_n_kicks(0.3, x, 2),),
+    "zeno_loss": (lambda x: analytics.zeno_loss(4, x, 1.0),),
+}
+
+#: each value refused as a kick time or strength, with the one message that refuses it
+REFUSED_VALUES = {
+    "str": ("0.5", "must be real numbers, got '0.5'"),
+    "bytes": (b"0.5", "must be real numbers, got b'0.5'"),
+    "nan": (math.nan, "must be finite, got nan"),
+    "inf": (math.inf, "must be finite, got inf"),
+    "-inf": (-math.inf, "must be finite, got -inf"),
 }
 
 
-@pytest.mark.parametrize("value", ["0.5", b"0.5"], ids=["str", "bytes"])
+@pytest.mark.parametrize("value", list(REFUSED_VALUES))
 @pytest.mark.parametrize("entry", list(REAL_NUMBER_ENTRIES))
 def test_kick_times_and_strengths_must_be_real_numbers(entry, value):
-    # float() read both: KickSchedule((('0.5', '1'),), 1.0).kicks was ((0.5, 1.0),).
-    message = f"kick times and strengths must be real numbers, got {value!r}"
+    # float() read strings and bytes: KickSchedule((('0.5', '1'),), 1.0).kicks was
+    # ((0.5, 1.0),).  apply_kick raised TypeError on '0.5', the rate functions
+    # returned NaN at a NaN strength, and the rest refused NaN in five wordings.
+    value, message = REFUSED_VALUES[value]
     for build in REAL_NUMBER_ENTRIES[entry]:
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"kick times and strengths {message}")):
             build(value)
+
+
+#: omega * 1e300 overflows a float
+FAST = SystemParams(coupling=1e10)
+#: (eps_a + eps_b) * 1.2e8 overflows, half of it and omega * 1.2e8 do not: only the
+#: dense |1,1> phase turns by the full sum
+HIGH = SystemParams(coupling=1.0, eps_a=1e300, eps_b=1e300)
+
+#: every public entry that takes a free step, with a step that overflows and its cause
+OVERFLOW_ENTRIES = {
+    "sweep-total_time": (
+        lambda: engine.sweep((1.0,), (3,), total_time=1e300, params=FAST), "omega * dt"
+    ),
+    "sweep-interval": (lambda: engine.sweep((1.0,), (3,), interval=1e300, params=FAST), "omega * dt"),
+    "engine.run_schedule": (
+        lambda: engine.run_schedule(KickSchedule(((1.0, 1.0),), 1e300, 0.0), FAST), "omega * dt"
+    ),
+    "oracle.run_schedule": (
+        lambda: oracle.run_schedule(KickSchedule(((1.0, 1.0),), 1e300, 0.0), FAST), "omega * dt"
+    ),
+    "final_state": (lambda: engine.final_state((), 1e300, FAST), "omega * total_time"),
+    "final_state-numpy": (
+        lambda: engine.final_state((), np.float64(1e300), FAST), "omega * total_time"
+    ),
+    "free_propagate": (lambda: free_propagate(ReducedState(), 1e300, FAST), "omega * dt"),
+    "oracle.free_step": (
+        lambda: oracle.free_step(oracle.initial_state(1), 1e300, FAST), "omega * dt"
+    ),
+    "block_minus_identity": (
+        lambda: block_minus_identity(np.array([0.0, 1e300]), FAST), "omega * dt"
+    ),
+    "engine.run_schedule-sum": (
+        lambda: engine.run_schedule(KickSchedule(((1.0, 1.0),), 1.2e8, 0.0), HIGH),
+        "(eps_a + eps_b) * dt",
+    ),
+    "oracle.run_schedule-sum": (
+        lambda: oracle.run_schedule(KickSchedule(((1.0, 1.0),), 1.2e8, 0.0), HIGH),
+        "(eps_a + eps_b) * dt",
+    ),
+    "final_state-sum": (
+        lambda: engine.final_state(((1.0, 1.0),), 1.2e8, HIGH), "(eps_a + eps_b) * total_time"
+    ),
+    "oracle.free_step-sum": (
+        lambda: oracle.free_step(oracle.initial_state(1), 1.2e8, HIGH), "(eps_a + eps_b) * dt"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", list(OVERFLOW_ENTRIES))
+def test_a_free_step_that_overflows_is_refused(entry):
+    # Each warned of an overflow, raised "math domain error", or ran on: the
+    # rule lived only in the CLI's parse-time size check.
+    run, cause = OVERFLOW_ENTRIES[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{cause} overflows (")):
+        run()
 
 
 def test_numpy_scalars_read_as_the_floats_they_hold():

@@ -150,7 +150,7 @@ class TestKick:
 
     @pytest.mark.parametrize("g", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_strength_rejected(self, g):
-        with pytest.raises(ValueError, match="kick strength must be finite"):
+        with pytest.raises(ValueError, match=f"kick times and strengths must be finite, got {g}"):
             oracle.kick(oracle.initial_state(1), 0, g)
 
     def test_probe_index_out_of_range(self):
@@ -202,14 +202,15 @@ class TestBitForBit:
         # still zero; there the two-pass kernel gives the full rotation's values.
         rng = np.random.default_rng(70 + width)
         strengths = (0.0, math.pi, -1.3, 0.7, -math.pi, 4.4, -7.0)
-        constants = np.array([oracle._kick_constants(g) for g in strengths]).T
+        constants = np.array([(math.cos(g), 1j * math.sin(g)) for g in strengths]).T
         cg, isg = constants[:, :, None, None, None]
         shape = (len(strengths), 4, 2**width)
         for k in range(width):
             phi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             phi.reshape(*shape[:2], -1, 2, 2**k)[..., 1, :] = 0
             expected = phi.copy()
-            oracle._kick_in_place(expected, k, cg, isg, np.empty(phi.size // 2, dtype=complex))
+            x, y = oracle._kick_pairs(expected, k)
+            x[...], y[...] = cg * x - isg * y, cg * y - isg * x
             oracle._fresh_kick_in_place(phi, k, cg, -isg)
             np.testing.assert_array_equal(phi, expected)
 
@@ -429,10 +430,10 @@ class TestLivePrefix:
             constants = [oracle._free_constants(dt, p) for dt in (0.37, 0.0, 1.9)]
             columns = np.array(constants).T[:, :, None]
             steps.append(lambda a, c=columns: oracle._free_step_in_place(a, c, scratch))
-        cg, isg = np.array([oracle._kick_constants(g) for g in (1.1, 0, 4)]).T[:, :, None, None, None]
+        kicks = np.array([(math.cos(g), -1j * math.sin(g)) for g in (1.1, 0, 4)]).T
+        cg, misg = kicks[:, :, None, None, None]
         for k in range(width):
-            steps.append(lambda a, k=k: oracle._kick_in_place(a, k, cg, isg, scratch))
-            steps.append(lambda a, k=k: oracle._fresh_kick_in_place(a, k, cg, -isg))
+            steps.append(lambda a, k=k: oracle._fresh_kick_in_place(a, k, cg, misg))
         for step in steps:
             before = phi.copy()
             expected = phi[:, :, : 2**width].copy()
