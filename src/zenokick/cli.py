@@ -14,6 +14,11 @@ Numbers accept plain floats or pi forms (``pi``, ``pi/2``, ``3pi/4``,
 significant digits so repeated runs are byte-identical and values round-trip.
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 usage or config error.
 
+A ``ScenarioConfig`` is checked whole when it is built, so ``parse_config``
+refuses a missing key, a size or a free step up front, naming the file, and
+a command only runs the config and writes; the rules that a public entry
+owns, such as kick times, stay with that entry.
+
 Tables are written 8192 rows at a time: the columns of a block are
 interleaved into one argument tuple for one ``%`` call on the line format
 repeated.  A column whose values repeat by construction formats each
@@ -49,6 +54,7 @@ from .analytics import (
     survival_function,
 )
 from .core import (
+    MAX_SAMPLES,
     CapacityError,
     KickSchedule,
     OffResonanceError,
@@ -82,10 +88,6 @@ ORACLE_CHECK_KICK_COUNTS = tuple(range(9))
 #: a second draw with any real chance.
 _KICK_TIME_DRAWS = 100
 MAX_LIST_ENTRIES = 10**6
-#: Samples a ``run`` or ``oracle-check`` scenario may take, and cells a
-#: ``sweep`` may hold, in all.  A sample or a cell is one written row, and
-#: costs about 0.3 KB of peak memory while it is computed and written.
-MAX_SAMPLES = 10**6
 #: Largest ``abs_error`` each ``rates`` check accepts.
 RATE_TOLERANCES = {
     "rate_free": 1e-8,
@@ -126,7 +128,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed view of one scenario file; attribute names are pythonic, keys are not."""
+    """Typed view of one scenario file; attribute names are pythonic, keys are not.
+
+    Valid by construction: building one runs ``_check_scenario`` and then
+    ``params()``, so a config that exists can be run, and a ValueError names
+    the first rule a scenario breaks.
+    """
 
     scenario: str
     coupling: float = 1.0
@@ -142,6 +149,10 @@ class ScenarioConfig:
     trials: int = 200
     seed: int = 0
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_scenario(self)
+        self.params()  # refuses energies whose sum or difference overflows
 
     def params(self) -> SystemParams:
         return SystemParams(coupling=self.coupling, eps_a=self.eps_a, eps_b=self.eps_b)
@@ -263,7 +274,11 @@ _KEYS = {
 
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse a flat key = value scenario file; reject anything unknown or malformed."""
+    """Parse a flat key = value scenario file; reject anything unknown, malformed or unrunnable.
+
+    Every refusal is a ``ConfigError`` prefixed by ``source``, and by the
+    line for a malformed line.
+    """
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -284,44 +299,53 @@ def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(str(exc), source, lineno) from None
     if "scenario" not in fields:
         raise ConfigError("missing required key 'scenario'", source)
-    config = ScenarioConfig(**fields)  # type: ignore[arg-type]
     try:
-        _check_size(config)
-        config.params()  # refuses energies whose sum or difference overflows
+        return ScenarioConfig(**fields)  # type: ignore[arg-type]
     except ValueError as exc:
         raise ConfigError(str(exc), source) from None
-    return config
 
 
-def _check_size(config: ScenarioConfig) -> None:
-    """Refuse, before any compute, a scenario too large to sample or to propagate.
+#: a sweep's ``mode`` -> the ``ScenarioConfig`` attribute (``engine.sweep``
+#: argument) and the key of its duration; every other scenario runs for ``T``
+_DURATIONS = {"total": ("total_time", "T"), "interval": ("interval", "tau")}
 
-    The sample count is (strengths or trials) x (grid points + a pre and a
-    post record per kick), exact unless a kick falls on a grid point; a
-    sweep's cell count is strengths x kick counts, and the samples per unit
-    time, ``resolution / T``, must stay finite.  The longest free step,
-    ``T`` or ``tau`` for an interval sweep, must pass ``core._check_free_step``.
+
+def _check_scenario(config: ScenarioConfig) -> None:
+    """Refuse a scenario that lacks a key, is too large or takes a step that overflows.
+
+    Every ``ScenarioConfig`` passes it when built, before any compute.
+    ``run`` and ``oracle-check`` need ``T``, and ``sweep`` needs ``g_list``,
+    ``N_list`` and the duration of its ``mode``.  The sample count is
+    (strengths or trials) x (grid points + a pre and a post record per
+    kick), exact unless a kick falls on a grid point; a sweep's cell count
+    is strengths x kick counts, and the samples per unit time,
+    ``resolution / T``, must stay finite.  The longest free step, ``T`` or
+    ``tau`` for an interval sweep, must pass ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
-    finite-difference steps stop resolving the dynamics.
+    finite-difference steps stop resolving the dynamics.  The rules that a
+    public entry owns (kick times, kick counts, a positive duration) are
+    left to it.
     """
     if config.scenario == "rates" and config.coupling > RATES_MAX_COUPLING:
         raise ValueError(
             f"scenario 'rates' needs G <= {RATES_MAX_COUPLING:.6g}, got G = {config.coupling:g}: "
             "past it the finite-difference error bound exceeds the checks' tolerances"
         )
+    if config.scenario == "rates":  # runs for no duration
+        return
     if config.scenario == "sweep":
+        if not config.g_list or not config.n_list:
+            raise ValueError("scenario 'sweep' needs g_list and N_list")
         cells = len(config.g_list) * len(config.n_list)
         if cells > MAX_SAMPLES:
             raise ValueError(
                 f"sweep would take {cells} cells ({len(config.g_list)} x "
                 f"{len(config.n_list)}); at most {MAX_SAMPLES} are allowed"
             )
-    if config.scenario == "sweep" and config.mode == "interval":
-        step, step_name = config.interval, "tau"
-    else:
-        step, step_name = config.total_time, "T"
-    if step is None or config.scenario == "rates":
-        return
+    attr, step_name = _DURATIONS[config.mode if config.scenario == "sweep" else "total"]
+    step = getattr(config, attr)
+    if step is None:
+        raise ValueError(f"scenario {config.scenario!r} needs {step_name}")
     if config.scenario in ("run", "oracle-check"):
         if config.scenario == "run":
             runs, kicks = max(1, len(config.g_list)), len(config.kick_times)
@@ -504,8 +528,6 @@ def _schedule(
 
 def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Trajectory CSV per kick strength; multiple strengths fan out by suffix."""
-    if config.total_time is None:
-        raise ValueError("scenario 'run' needs T")
     g_values = config.g_list if config.g_list else (0.0,)
     out = Path(config.out or "run.csv")
     outputs: list[tuple[Path, float]] = []
@@ -536,13 +558,9 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
 
 def cmd_sweep(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Sweep table CSV over the (g, N) grid, g outermost."""
-    if not config.g_list or not config.n_list:
-        raise ValueError("scenario 'sweep' needs g_list and N_list")
-    key, name = ("total_time", "T") if config.mode == "total" else ("interval", "tau")
-    duration = getattr(config, key)
-    if duration is None:
-        raise ValueError(f"scenario 'sweep' needs {name}")
-    cells = engine.sweep(config.g_list, config.n_list, params=config.params(), **{key: duration})
+    attr, _ = _DURATIONS[config.mode]
+    duration = {attr: getattr(config, attr)}
+    cells = engine.sweep(config.g_list, config.n_list, params=config.params(), **duration)
     out = Path(config.out or "sweep.csv")
     _write(out, sweep_csv(cells))
     if gnuplot:
@@ -621,8 +639,6 @@ def oracle_engine_deviation(
 
 def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Randomized reduced-vs-dense comparison; prints one report line and plots nothing."""
-    if config.total_time is None:
-        raise ValueError("scenario 'oracle-check' needs T")
     n_choices = config.n_list or ORACLE_CHECK_KICK_COUNTS
     if config.trials == 0:
         print("warning: trials=0, nothing was compared", file=sys.stderr)

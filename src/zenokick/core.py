@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+#: Samples a ``KickSchedule`` may take; ``cli`` also caps the samples of a
+#: whole ``run`` or ``oracle-check`` scenario, and the cells of a ``sweep``,
+#: at this number.  A written sample or cell costs about 0.3 KB of peak
+#: memory while it is computed and written.
+MAX_SAMPLES = 10**6
+
+
 class CapacityError(Exception):
     """Requested problem size exceeds what this simulator supports."""
 
@@ -99,18 +106,24 @@ def _real(value) -> float:
 def _check_free_step(dt: float, params, name: str = "dt") -> None:
     """ValueError unless a free step ``dt`` is finite, >= 0 and turns finite angles.
 
-    The angles are ``omega * dt`` and ``(eps_a + eps_b) * dt``, the full sum
-    being the dense |1,1> phase's; past them a propagator turns to NaN.
-    ``params`` needs only ``coupling``, ``eps_a`` and ``eps_b``, so ``cli``
-    passes a scenario config; ``name`` names the step in the message.
+    The angles are ``omega * dt``, ``(eps_a + eps_b) * dt`` and
+    ``(eps_a - eps_b) * dt``; past them a propagator turns to NaN.  The full
+    sum is the dense |1,1> phase's.  The difference is bounded because
+    ``engine.sweep`` shifts the survivor's energy out of both qubits, so its
+    block turns by the difference where the other paths turn by the sum;
+    with one rule for every path, ``cli`` checks a scenario once and no path
+    refuses it later.  ``params`` needs only ``coupling``, ``eps_a`` and
+    ``eps_b``, so ``cli`` passes a scenario config; ``name`` names the step
+    in the message.
     """
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {dt}")
-    omega = math.hypot(0.5 * (params.eps_a - params.eps_b), params.coupling)
-    for rate, rate_name in ((omega, "omega"), (params.eps_a + params.eps_b, "(eps_a + eps_b)")):
+    total, diff = params.eps_a + params.eps_b, params.eps_a - params.eps_b
+    omega = math.hypot(0.5 * diff, params.coupling)
+    for rate, label in ((omega, "omega"), (total, "(eps_a + eps_b)"), (diff, "(eps_a - eps_b)")):
         if not math.isfinite(rate * float(dt)):  # a numpy product would warn first
             raise ValueError(
-                f"{rate_name} * {name} overflows ({rate_name} = {rate:g}, {name} = {dt:g}); "
+                f"{label} * {name} overflows ({label} = {rate:g}, {name} = {dt:g}); "
                 "reduce G, eps_a, eps_b or the run time"
             )
 
@@ -123,6 +136,9 @@ class KickSchedule:
         all inside [0, total_time].  May be empty.
     sample_resolution: uniform trajectory samples per unit time; 0 keeps only
         the endpoints (plus the pre/post pair recorded at every kick).
+
+    A schedule takes at most ``MAX_SAMPLES`` samples, its grid points plus
+    two per kick, and one with more is refused before anything is allocated.
     """
 
     kicks: tuple[tuple[float, float], ...]
@@ -143,13 +159,22 @@ class KickSchedule:
             if t <= previous:
                 raise ValueError("kick times must be strictly increasing")
             previous = t
+        samples = self._grid_points() + 2 * len(kicks)
+        if samples > MAX_SAMPLES:
+            raise ValueError(
+                f"schedule would take {samples:.12g} samples; at most {MAX_SAMPLES} are allowed"
+            )
+
+    def _grid_points(self) -> float:
+        """Points of ``sample_grid``; inf if ``total_time * sample_resolution`` overflows."""
+        if self.total_time == 0.0:
+            return 1
+        intervals = self.total_time * self.sample_resolution
+        return max(1, round(intervals)) + 1 if intervals < math.inf else intervals
 
     def sample_grid(self) -> np.ndarray:
         """Uniform sample times covering [0, total_time], endpoints included."""
-        if self.total_time == 0.0:
-            return np.zeros(1)
-        n = max(1, round(self.total_time * self.sample_resolution))
-        return np.linspace(0.0, self.total_time, n + 1)
+        return np.linspace(0.0, self.total_time, self._grid_points())
 
 
 @dataclass(frozen=True)

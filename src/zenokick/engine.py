@@ -211,6 +211,7 @@ def sweep(
     else:
         g_cell, n_cell = g_column, n_column
         tau = np.full(len(n_cell), float(interval))
+    _check_free_step(tau.max(), params)  # on the given energies, before the shift below
     chunks = []
     for lo in range(0, len(n_cell), SWEEP_CHUNK):
         part = slice(lo, lo + SWEEP_CHUNK)
@@ -266,7 +267,8 @@ def _equally_spaced_populations(
     drift in proportion to n; removing the mean energy instead would leave
     (eps_a - eps_b) tau / 2 per period there.  At eps_a == eps_b both
     energies become 0, so a common energy reads bit for bit as none.
-    ``SystemParams`` refuses energies whose difference overflows.
+    ``SystemParams`` refuses energies whose difference overflows, and
+    ``sweep`` a step whose angle on the given energies does.
     """
     params = replace(params, eps_a=0.0, eps_b=params.eps_b - params.eps_a)
     u_minus_identity = block_minus_identity(tau, params)

@@ -234,3 +234,16 @@ def test_every_private_name_is_read():
                 and (module, name) not in read
             ]
     assert unread == []
+
+
+def test_no_command_raises():
+    # A scenario rule belongs to ``cli._check_scenario``, which every config
+    # passes when it is built; a ``raise`` in a command would refuse a
+    # scenario only after parsing, and without the file's name.
+    tree = ast.parse((SOURCES / "cli.py").read_text())
+    raising = [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+        and any(isinstance(part, ast.Raise) for part in ast.walk(node))
+    ]
+    assert raising == []

@@ -218,6 +218,8 @@ class TestCmdRun:
         assert abs(float(final[1]) - 1.0) < 1e-12
 
     def test_run_requires_total_time(self, tmp_path, capsys):
+        with pytest.raises(cli.ConfigError, match="scenario 'run' needs T"):
+            cli.parse_config("scenario = run\n")
         code = self.run_main(tmp_path, "scenario = run\n")
         assert code == 2
         assert "needs T" in capsys.readouterr().err
@@ -239,6 +241,8 @@ class TestCmdSweep:
     def test_needs_grid(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("scenario = sweep\nT = 1\n")
+        with pytest.raises(cli.ConfigError, match="scenario 'sweep' needs g_list and N_list"):
+            cli.parse_config(path.read_text())
         assert cli.main([str(path)]) == 2
 
     @pytest.mark.parametrize("mode, missing, given", [("total", "T", "tau"), ("interval", "tau", "T")])
@@ -251,7 +255,9 @@ class TestCmdSweep:
             f"out = {out}\n"
         )
         assert cli.main([str(path)]) == 2
-        assert f"config error: scenario 'sweep' needs {missing}\n" == capsys.readouterr().err
+        # Refused while the file is parsed, so the message names the file.
+        expected = f"config error: {path}: scenario 'sweep' needs {missing}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
 
@@ -453,7 +459,7 @@ class TestOracleCheck:
         [
             ("N_list = -1..2\nT = 1", "kick counts must be >= 0"),
             ("N_list = 2\nT = 0", "total_time must be positive, got 0.0"),
-            ("N_list = 2", "scenario 'oracle-check' needs T"),
+            ("N_list = 2", "<file>: scenario 'oracle-check' needs T"),  # refused while parsed
         ],
         ids=["negative-kick-count", "zero-T", "no-T"],
     )
@@ -462,7 +468,8 @@ class TestOracleCheck:
         path = tmp_path / "check.txt"
         path.write_text(f"scenario = oracle-check\ntrials = 3\n{body}\nout = {out}\n")
         assert cli.main([str(path)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        expected = f"config error: {message}\n".replace("<file>", str(path))
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_too_many_kicks_is_a_capacity_error(self, tmp_path):
@@ -667,6 +674,10 @@ class TestMainPlumbing:
              "resolution / T overflows (resolution = 1000, T = 1e-310)"),
             ("scenario = rates\neps_a = 1e308\neps_b = 1e308",
              "eps_a + eps_b and eps_a - eps_b must not overflow"),
+            # The sweep shifts the survivor's energy out, so its block turns by the difference.
+            ("scenario = sweep\neps_a = 0.6e308\neps_b = -0.6e308\nT = 1.5\ng_list = 1\n"
+             "N_list = 1",
+             "(eps_a - eps_b) * T overflows ((eps_a - eps_b) = 1.2e+308, T = 1.5)"),
         ],
     )
     def test_overflow_names_its_cause(self, body, cause, tmp_path, capsys):

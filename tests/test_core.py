@@ -11,8 +11,9 @@ from reference import single_excitation_block
 from scipy.linalg import expm
 from test_engine import SAMPLER_CASES, sampler_schedule
 
-from zenokick import analytics, engine, oracle
+from zenokick import analytics, core, engine, oracle
 from zenokick.core import (
+    MAX_SAMPLES,
     KickSchedule,
     ReducedState,
     SystemParams,
@@ -236,6 +237,24 @@ class TestKickSchedule:
         assert len(KickSchedule((), 0.0).sample_grid()) == 1
         assert len(KickSchedule((), 3.0, sample_resolution=0.0).sample_grid()) == 2
 
+    @pytest.mark.parametrize(
+        "total_time, resolution", [(1e9, 1000.0), (1e300, 1000.0), (1e300, 1e300)]
+    )
+    def test_refuses_more_samples_than_the_cap_before_allocating(self, total_time, resolution):
+        # These were built, and a run of them raised MemoryError (7.28 TiB), numpy's
+        # size error and OverflowError.
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES} are allowed"):
+            KickSchedule((), total_time, resolution)
+
+    def test_the_cap_counts_grid_points_and_two_records_per_kick(self, monkeypatch):
+        # No kick falls on a grid point, so the count is exact.
+        kicks = ((0.3, 1.0), (0.6, 1.0))
+        monkeypatch.setattr(core, "MAX_SAMPLES", 13)
+        schedule = KickSchedule(kicks, 1.0, 8.0)  # 9 grid points + 4 kick records
+        assert [step[0] for step in schedule_steps(schedule)].count("sample") == 13
+        with pytest.raises(ValueError, match=r"schedule would take 14 samples; at most 13"):
+            KickSchedule(kicks, 1.0, 9.0)
+
 
 #: every public entry that takes kick times or strengths, once per place it reads one;
 #: ``tests/test_api.py`` holds every public signature with ``g``, ``g_values`` or ``kicks`` to it
@@ -288,6 +307,9 @@ FAST = SystemParams(coupling=1e10)
 #: (eps_a + eps_b) * 1.2e8 overflows, half of it and omega * 1.2e8 do not: only the
 #: dense |1,1> phase turns by the full sum
 HIGH = SystemParams(coupling=1.0, eps_a=1e300, eps_b=1e300)
+#: (eps_a - eps_b) * 1.5 overflows, omega * 1.5 and the sum do not: only the sweep's
+#: block, with the survivor's energy shifted out, turns by the full difference
+APART = SystemParams(coupling=1.0, eps_a=0.6e308, eps_b=-0.6e308)
 
 #: every public entry that takes a free step, with a step that overflows and its cause
 OVERFLOW_ENTRIES = {
@@ -325,6 +347,12 @@ OVERFLOW_ENTRIES = {
     ),
     "oracle.free_step-sum": (
         lambda: oracle.free_step(oracle.initial_state(1), 1.2e8, HIGH), "(eps_a + eps_b) * dt"
+    ),
+    "sweep-sum": (
+        lambda: engine.sweep((1.0,), (1,), interval=1.2e8, params=HIGH), "(eps_a + eps_b) * dt"
+    ),
+    "sweep-difference": (
+        lambda: engine.sweep((1.0,), (1,), total_time=1.5, params=APART), "(eps_a - eps_b) * dt"
     ),
 }
 
