@@ -14,7 +14,7 @@ import math
 from typing import Callable, Iterable
 
 from . import engine
-from .core import OffResonanceError, SystemParams, _real
+from .core import OffResonanceError, SystemParams, _count, _real
 
 __all__ = [
     "rate_free",
@@ -81,8 +81,7 @@ def rate_after_n_kicks(
     the magnitude is bounded by 2c |cos g|**n and vanishes as n grows, however
     weak each individual kick is.
     """
-    if n < 0:
-        raise ValueError(f"kick count must be >= 0, got {n}")
+    n = _count(n, "kick counts")
     rate = rate_free(t1, params)
     cg = math.cos(_real(g))
     for _ in range(n):
@@ -99,8 +98,9 @@ def zeno_loss(
     loses (c tau)^2 (1 + cos g) / (1 - cos g), and n periods fill the run.
     Corrections are smaller by a further factor of order 1/n.  The law needs
     kicks that record which-way information, so g must not be a multiple of
-    2 pi.
+    2 pi.  n is a count read by ``core._count``, and the law needs n >= 1.
     """
+    n = _count(n, "kick counts")
     c = _resonant_coupling(params or SystemParams())
     if n < 1:
         raise ValueError(f"kick count must be >= 1, got {n}")

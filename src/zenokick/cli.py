@@ -62,6 +62,7 @@ from .core import (
     Trajectory,
     _check_free_step,
     _check_samples,
+    _count,
     _sample_layout,
 )
 
@@ -130,9 +131,11 @@ class ConfigError(Exception):
 class ScenarioConfig:
     """Typed view of one scenario file; attribute names are pythonic, keys are not.
 
-    Valid by construction: building one runs ``_check_scenario`` and then
-    ``params()``, so a config that exists can be run, and a ValueError names
-    the first rule a scenario breaks.
+    Valid by construction: building one fills the defaults of a ``run``'s
+    empty ``g_list``, ``(0.0,)``, and of an ``oracle-check``'s empty
+    ``n_list``, ``ORACLE_CHECK_KICK_COUNTS``; then it runs ``_check_scenario``
+    and ``params()``, so a config that exists can be run, and a ValueError
+    names the first rule a scenario breaks.
     """
 
     scenario: str
@@ -151,6 +154,10 @@ class ScenarioConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        if self.scenario == "run" and not self.g_list:
+            object.__setattr__(self, "g_list", (0.0,))
+        if self.scenario == "oracle-check" and not self.n_list:
+            object.__setattr__(self, "n_list", ORACLE_CHECK_KICK_COUNTS)
         _check_scenario(self)
         self.params()  # refuses energies whose sum or difference overflows
 
@@ -196,16 +203,18 @@ def parse_number_list(text: str) -> tuple[float, ...]:
     return tuple(parse_number(tok) for tok in text.split(","))
 
 
-def parse_int(token: str) -> int:
+def parse_count(token: str, name: str = "kick counts") -> int:
+    """A count as a file writes it, an integer literal, read by ``core._count`` as ``name``."""
     token = token.strip()
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise ValueError(f"malformed integer {token!r}") from None
+        value = token  # not an integer literal: ``_count`` refuses the text itself
+    return _count(value, name)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers, ``MAX_LIST_ENTRIES`` at most; ``a..b`` is an inclusive range."""
+    """Comma-separated kick counts, ``MAX_LIST_ENTRIES`` at most; ``a..b`` is an inclusive range."""
     text = text.strip()
     if not text:
         return ()
@@ -214,11 +223,11 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         tok = tok.strip()
         if ".." in tok:
             lo_text, _, hi_text = tok.partition("..")
-            lo, hi = parse_int(lo_text), parse_int(hi_text)
+            lo, hi = parse_count(lo_text), parse_count(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {tok!r}")
         else:
-            lo = hi = parse_int(tok)
+            lo = hi = parse_count(tok)
         # Checked before expanding, so an oversized range is refused, not allocated.
         if len(values) + hi - lo + 1 > MAX_LIST_ENTRIES:
             raise ValueError(f"integer list has more than {MAX_LIST_ENTRIES} entries")
@@ -244,16 +253,6 @@ def _out(value: str) -> str:
     return value
 
 
-def _count(key: str):
-    def parse(value: str) -> int:
-        n = parse_int(value)
-        if n < 0:
-            raise ValueError(f"{key} must be >= 0, got {n}")
-        return n
-
-    return parse
-
-
 # Scenario-file key -> (ScenarioConfig attribute, value parser).
 _KEYS = {
     "scenario": ("scenario", _scenario),
@@ -266,9 +265,9 @@ _KEYS = {
     "tau": ("interval", parse_number),
     "mode": ("mode", _mode),
     "t_kicks": ("kick_times", parse_number_list),
-    "resolution": ("resolution", _count("resolution")),
-    "trials": ("trials", _count("trials")),
-    "seed": ("seed", _count("seed")),
+    "resolution": ("resolution", lambda text: parse_count(text, "resolution")),
+    "trials": ("trials", lambda text: parse_count(text, "trials")),
+    "seed": ("seed", lambda text: parse_count(text, "seed")),
     "out": ("out", _out),
 }
 
@@ -322,9 +321,9 @@ def _check_scenario(config: ScenarioConfig) -> None:
     ``resolution / T``, must stay finite.  The longest free step, ``T`` or
     ``tau`` for an interval sweep, must pass ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
-    finite-difference steps stop resolving the dynamics.  The rules that a
-    public entry owns (kick times, kick counts, a positive duration) are
-    left to it.
+    finite-difference steps stop resolving the dynamics.  Counts are read
+    while the file is parsed; the rules that a public entry owns (kick
+    times, a positive duration) are left to it.
     """
     if config.scenario == "rates" and config.coupling > RATES_MAX_COUPLING:
         raise ValueError(
@@ -348,9 +347,9 @@ def _check_scenario(config: ScenarioConfig) -> None:
         raise ValueError(f"scenario {config.scenario!r} needs {step_name}")
     if config.scenario in ("run", "oracle-check"):
         if config.scenario == "run":
-            runs, kicks = max(1, len(config.g_list)), len(config.kick_times)
+            runs, kicks = len(config.g_list), len(config.kick_times)
         else:
-            runs, kicks = config.trials, max(config.n_list or ORACLE_CHECK_KICK_COUNTS)
+            runs, kicks = config.trials, max(config.n_list)
         per_run = (max(1, config.resolution) + 1 if step > 0 else 1) + 2 * kicks
         if runs * per_run > MAX_SAMPLES:
             raise ValueError(
@@ -528,11 +527,10 @@ def _schedule(
 
 def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Trajectory CSV per kick strength; multiple strengths fan out by suffix."""
-    g_values = config.g_list if config.g_list else (0.0,)
     out = Path(config.out or "run.csv")
     outputs: list[tuple[Path, float]] = []
-    for i, g in enumerate(g_values):
-        path = out if len(g_values) == 1 else out.with_name(f"{out.stem}_g{i}{out.suffix}")
+    for i, g in enumerate(config.g_list):
+        path = out if len(config.g_list) == 1 else out.with_name(f"{out.stem}_g{i}{out.suffix}")
         outputs.append((path, g))
     # Every run finishes before the first write, so a refused run leaves no
     # files; then one CSV text at a time is formatted and written.
@@ -585,14 +583,16 @@ def oracle_engine_deviation(
 
     Each trial draws a kick count from ``n_choices``, sorts uniform kick times
     in [0, total_time] and draws each strength uniformly in [0, 2 pi], then
-    compares P10, P01 and Pvac pointwise on the shared sample grid.  Kick
-    times are redrawn until they are distinct; a ValueError is raised if
-    ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
-    drawn before any is run, in that order, so a seed gives the same trials
-    however they are run.  They run in the batches of ``oracle._batches``,
-    one batch at a time, and each path's samples get the guard of a
-    ``Trajectory``.  The largest deviation does not depend on the batching,
-    and a NaN deviation is kept, so that it reads as FAIL.
+    compares P10, P01 and Pvac pointwise on the shared sample grid.
+    ``trials``, each of ``n_choices`` and ``resolution`` are counts read by
+    ``core._count``, and a kick count past ``ORACLE_CHECK_MAX_KICKS`` raises
+    ``CapacityError``.  Kick times are redrawn until they are distinct; a
+    ValueError is raised if ``_KICK_TIME_DRAWS`` draws never give distinct
+    times.  Every trial is drawn before any is run, in that order, so a seed
+    gives the same trials however they are run.  They run in the batches of
+    ``oracle._batches``, one batch at a time, and each path's samples get
+    the guard of a ``Trajectory``.  The largest deviation does not depend on
+    the batching, and a NaN deviation is kept, so that it reads as FAIL.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -602,12 +602,12 @@ def oracle_engine_deviation(
     behind ``uniform`` fixed per seed across versions; numpy makes no such
     promise for its ``Generator`` methods.
     """
+    trials, resolution = _count(trials, "trials"), _count(resolution, "resolution")
+    n_choices = tuple(_count(n, "kick counts") for n in n_choices)
     if max(n_choices, default=0) > ORACLE_CHECK_MAX_KICKS:
         raise CapacityError(
             f"oracle check supports at most {ORACLE_CHECK_MAX_KICKS} kicks per schedule"
         )
-    if any(n < 0 for n in n_choices):
-        raise ValueError("kick counts must be >= 0")
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     rng = random.Random(seed)
@@ -639,11 +639,10 @@ def oracle_engine_deviation(
 
 def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Randomized reduced-vs-dense comparison; prints one report line and plots nothing."""
-    n_choices = config.n_list or ORACLE_CHECK_KICK_COUNTS
     if config.trials == 0:
         print("warning: trials=0, nothing was compared", file=sys.stderr)
     max_dev = oracle_engine_deviation(
-        config.trials, n_choices, config.total_time, config.resolution,
+        config.trials, config.n_list, config.total_time, config.resolution,
         config.seed, config.params(),
     )
     status = "PASS" if max_dev <= ORACLE_CHECK_TOLERANCE else "FAIL"
@@ -751,19 +750,12 @@ def main(argv: list[str] | None = None) -> int:
         print("error: give exactly one of a config file or --preset", file=sys.stderr)
         return 2
 
-    if args.preset:
-        text, source = PRESETS[args.preset], f"preset:{args.preset}"
-    else:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        source = args.config
-
     try:
-        config = parse_config(text, source)
-    except ConfigError as exc:
+        if args.preset:
+            config = parse_config(PRESETS[args.preset], f"preset:{args.preset}")
+        else:
+            config = parse_config(Path(args.config).read_text(), args.config)
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.out:

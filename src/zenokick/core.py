@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
 #: at this number.  A written sample or cell costs about 0.3 KB of peak
 #: memory while it is computed and written.
 MAX_SAMPLES = 10**6
+#: Largest count ``_count`` accepts: ``engine.sweep`` keeps its kick counts in int64.
+MAX_COUNT = 2**63 - 1
 
 
 class CapacityError(Exception):
@@ -101,6 +104,25 @@ def _real(value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"kick times and strengths must be finite, got {value}")
     return value
+
+
+def _count(value, name: str) -> int:
+    """A count as a Python int; ValueError unless it is an integer in [0, ``MAX_COUNT``].
+
+    Every public entry reads its counts here, and no code after it checks
+    them again; ``name`` names the count in the message.  Integers are read
+    with ``operator.index``, so numpy integers pass, while ``2.0``, ``'3'``
+    and ``b'3'`` are refused rather than truncated or parsed.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    if n > MAX_COUNT:
+        raise ValueError(f"{name} must be <= {MAX_COUNT}, got {n}")
+    return n
 
 
 def _check_free_step(dt: float, params, name: str = "dt") -> None:

@@ -14,7 +14,6 @@ once, in O(log n) numpy steps, and returns the cells as one record array.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import replace
 from typing import Iterable, Iterator
 
@@ -27,6 +26,7 @@ from .core import (
     Trajectory,
     _check_free_step,
     _check_state,
+    _count,
     _free_step,
     _kick,
     _real,
@@ -37,8 +37,6 @@ from .core import (
 
 __all__ = ["run_schedule", "final_state", "run_equally_spaced", "sweep"]
 
-#: largest kick count a sweep accepts: the doubling keeps counts in int64
-MAX_KICKS = 2**63 - 1
 #: cells whose doubling arrays a sweep holds at once, about 0.8 KB each
 SWEEP_CHUNK = 4096
 #: one ``sweep`` record per (g, n) cell
@@ -155,7 +153,7 @@ def run_equally_spaced(
 ) -> tuple[float, float, float]:
     """Final (p10, p01, pvac) after n equally spaced kicks of strength g.
 
-    Takes its timing as ``sweep`` does; the answer is the one-cell sweep.
+    Takes n and its timing as ``sweep`` does; the answer is the one-cell sweep.
     """
     (cell,) = sweep((g,), (n,), total_time=total_time, interval=interval, params=params).tolist()
     return cell[2:]
@@ -176,7 +174,8 @@ def sweep(
     as n grows), ``interval`` keeps the spacing tau fixed (the run lasts
     n * interval).  Kick k lands at k * tau, so the last one is on the final
     instant.  A cell with n = 0 is free evolution over ``total_time``, or
-    the untouched initial state for ``interval``.
+    the untouched initial state for ``interval``.  Kick counts are read by
+    ``core._count``: integers in [0, 2**63 - 1], which int64 holds.
 
     Records come g outermost, in deterministic grid order, one per cell.
     Every cell passes the population and norm guard of a ``Trajectory``; a
@@ -189,11 +188,9 @@ def sweep(
     once the loss drops below about 1e-16.
     """
     g_values = tuple(_real(g) for g in g_values)
-    n_values = tuple(_kick_count(n) for n in n_values)
+    n_values = tuple(_count(n, "kick counts") for n in n_values)
     if not g_values or not n_values:
         raise ValueError("g_values and n_values must be non-empty")
-    if any(n < 0 or n > MAX_KICKS for n in n_values):
-        raise ValueError(f"kick counts must lie in [0, {MAX_KICKS}]")
     if (total_time is None) == (interval is None):
         raise ValueError("give exactly one of total_time or interval")
     duration = total_time if total_time is not None else interval
@@ -222,14 +219,6 @@ def sweep(
     cells = np.empty(len(n_column), _CELL).view(np.recarray)
     cells.g, cells.n, cells.p10, cells.p01, cells.pvac = g_column, n_column, p10, p01, pvac
     return cells
-
-
-def _kick_count(n) -> int:
-    """``n`` as a Python int if it is an integer (``operator.index``); ValueError otherwise."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"kick counts must be integers, got {n!r}") from None
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -100,16 +100,17 @@ def test_the_readme_lists_every_scenario_key_and_preset():
     assert set(re.findall(r"`([^`]+)` \(", presets)) == set(cli.PRESETS)
 
 
-def test_every_entry_that_takes_a_kick_value_is_in_the_refusal_table():
-    # A new public entry that takes g, g_values or kicks must show there that
-    # it reads them through ``core._real``.
-    from test_core import REAL_NUMBER_ENTRIES
+def entries_taking(parameters: set[str], table: dict) -> tuple[set[str], set[str]]:
+    """The public callables whose signature takes one of ``parameters``, and ``table``'s keys.
+
+    Both as ``module.name``; a key without a module names an ``__all__`` entry.
+    """
 
     def module_of(name):
         (module,) = [m for m in MODULES if name in importlib.import_module(f"zenokick.{m}").__all__]
         return module
 
-    table = {key if "." in key else f"{module_of(key)}.{key}" for key in REAL_NUMBER_ENTRIES}
+    keys = {key if "." in key else f"{module_of(key)}.{key}" for key in table}
     takes = set()
     for module in MODULES:
         mod = importlib.import_module(f"zenokick.{module}")
@@ -117,8 +118,27 @@ def test_every_entry_that_takes_a_kick_value_is_in_the_refusal_table():
             obj = getattr(mod, name)
             if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
                 continue
-            if {"g", "g_values", "kicks"} & set(inspect.signature(obj).parameters):
+            if parameters & set(inspect.signature(obj).parameters):
                 takes.add(f"{module}.{name}")
+    return takes, keys
+
+
+def test_every_entry_that_takes_a_kick_value_is_in_the_refusal_table():
+    # A new public entry that takes g, g_values or kicks must show there that
+    # it reads them through ``core._real``.
+    from test_core import REAL_NUMBER_ENTRIES
+
+    takes, table = entries_taking({"g", "g_values", "kicks"}, REAL_NUMBER_ENTRIES)
+    assert takes and takes <= table, sorted(takes - table)
+
+
+def test_every_entry_that_takes_a_count_is_in_the_refusal_table():
+    # A new public entry that takes a count must show there that it reads it
+    # through ``core._count``.
+    from test_core import COUNT_ENTRIES
+
+    names = {"n", "n_values", "n_choices", "trials", "resolution"}
+    takes, table = entries_taking(names, COUNT_ENTRIES)
     assert takes and takes <= table, sorted(takes - table)
 
 

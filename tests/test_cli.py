@@ -139,6 +139,12 @@ class TestParseConfig:
             cli.parse_config("scenario = run\njust words\n")
         assert err.value.line == 2
 
+    def test_a_config_holds_its_defaults(self):
+        # A run without g_list runs g = 0, and an oracle-check without N_list draws from 0..8.
+        assert cli.parse_config("scenario = run\nT = 1\n").g_list == (0.0,)
+        assert cli.parse_config("scenario = oracle-check\nT = 1\n").n_list == tuple(range(9))
+        assert cli.parse_config("scenario = rates\n").g_list == ()
+
     def test_every_preset_parses(self):
         for name, text in cli.PRESETS.items():
             config = cli.parse_config(text, name)
@@ -457,7 +463,7 @@ class TestOracleCheck:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("N_list = -1..2\nT = 1", "kick counts must be >= 0"),
+            ("N_list = -1..2\nT = 1", "<file>:3: kick counts must be >= 0, got -1"),  # while parsed
             ("N_list = 2\nT = 0", "total_time must be positive, got 0.0"),
             ("N_list = 2", "<file>: scenario 'oracle-check' needs T"),  # refused while parsed
         ],
@@ -598,7 +604,9 @@ class TestMainPlumbing:
 
     def test_missing_file(self, capsys):
         assert cli.main(["/no/such/scenario.txt"]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: [Errno 2] No such file or directory: '/no/such/scenario.txt'\n"
+        )
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         assert cli.main([]) == 2

@@ -11,7 +11,7 @@ from reference import single_excitation_block
 from scipy.linalg import expm
 from test_engine import SAMPLER_CASES, sampler_schedule
 
-from zenokick import analytics, core, engine, oracle
+from zenokick import analytics, cli, core, engine, oracle
 from zenokick.core import (
     MAX_SAMPLES,
     KickSchedule,
@@ -299,6 +299,56 @@ def test_kick_times_and_strengths_must_be_real_numbers(entry, value):
     value, message = REFUSED_VALUES[value]
     for build in REAL_NUMBER_ENTRIES[entry]:
         with pytest.raises(ValueError, match=re.escape(f"kick times and strengths {message}")):
+            build(value)
+
+
+#: every public entry that takes a count, as (the count's name in the messages, a call
+#: with one count) pairs, once per count it reads; ``tests/test_api.py`` holds every
+#: public signature with ``n``, ``n_values``, ``n_choices``, ``trials`` or ``resolution``
+#: to it.  A ``ScenarioConfig`` gets its counts from a scenario file, whose key parsers
+#: are handed each value as a file writes it, ``repr(value)``; one built in Python
+#: leaves its counts to the entries that a command calls with them.
+COUNT_ENTRIES = {
+    "sweep": (("kick counts", lambda n: engine.sweep((1.0,), (n,), total_time=1.0)),),
+    "run_equally_spaced": (
+        ("kick counts", lambda n: engine.run_equally_spaced(n, 1.0, total_time=1.0)),
+    ),
+    "rate_after_n_kicks": (("kick counts", lambda n: analytics.rate_after_n_kicks(0.3, 1.0, n)),),
+    "zeno_loss": (("kick counts", lambda n: analytics.zeno_loss(n, 1.0, 1.0)),),
+    "oracle_engine_deviation": (
+        ("trials", lambda n: cli.oracle_engine_deviation(n, (1,), 1.0, 10, 0, RESONANT)),
+        ("kick counts", lambda n: cli.oracle_engine_deviation(1, (n,), 1.0, 10, 0, RESONANT)),
+        ("resolution", lambda n: cli.oracle_engine_deviation(1, (1,), 1.0, n, 0, RESONANT)),
+    ),
+    "ScenarioConfig": (
+        ("resolution", lambda n: cli._KEYS["resolution"][1](repr(n))),
+        ("trials", lambda n: cli._KEYS["trials"][1](repr(n))),
+        ("seed", lambda n: cli._KEYS["seed"][1](repr(n))),
+        ("kick counts", lambda n: cli._KEYS["N_list"][1](f"{n!r}..3")),
+        ("kick counts", lambda n: cli._KEYS["N_list"][1](f"0..{n!r}")),
+    ),
+}
+
+#: each value refused as a count, with the one message that refuses it; ``{}`` is the
+#: value as the reader was handed it
+REFUSED_COUNTS = {
+    "float": (2.7, "must be integers, got {!r}"),
+    "str": ("3", "must be integers, got {!r}"),
+    "negative": (-1, "must be >= 0, got {}"),
+    "2**63": (2**63, f"must be <= {2**63 - 1}, got {{}}"),
+}
+
+
+@pytest.mark.parametrize("value", list(REFUSED_COUNTS))
+@pytest.mark.parametrize("entry", list(COUNT_ENTRIES))
+def test_counts_must_be_integers_in_range(entry, value):
+    # zeno_loss(2.5, 1.0, 1.0) returned 1.34, resolution = 10.5 ran, and
+    # rate_after_n_kicks(0.5, 1.0, 2.0) and trials = 2.0 raised TypeError; a
+    # negative count was refused in three wordings, or not at all.
+    value, message = REFUSED_COUNTS[value]
+    handed = repr(value) if entry == "ScenarioConfig" else value
+    for name, build in COUNT_ENTRIES[entry]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}'.format(handed))}$"):
             build(value)
 
 
