@@ -1,11 +1,11 @@
 """Closed-form transition rates and the finite-difference instrument that checks them.
 
-All closed forms below hold on resonance (eps_a == eps_b) where the free
-amplitudes are cos(c t) and sin(c t) with c the coupling; calling them with
-detuned parameters raises ``OffResonanceError`` instead of silently returning
-wrong numbers.  The rate of interest is dP10/dt, the time derivative of the
-survival probability; ``zeno_loss`` gives the leading-order loss 1 - P10
-after many equally spaced kicks.
+All closed forms below hold on resonance (eps_a == eps_b), where the free
+amplitudes are cos(c t) and sin(c t) with c the coupling; detuned parameters
+raise ``OffResonanceError`` instead of wrong numbers.  Times, strengths and
+steps are read by ``core._real``, counts by ``core._count``.  The rate of
+interest is dP10/dt; ``zeno_loss`` gives the leading-order loss 1 - P10 after
+many equally spaced kicks.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def rate_free(t: float, params: SystemParams | None = None) -> float:
     Zero at t = 0 and grows from there, which is what lets the transition
     proceed at all between kicks.
     """
-    c = _resonant_coupling(params or SystemParams())
+    c, t = _resonant_coupling(params or SystemParams()), _real(t, "t")
     return -2.0 * c * math.cos(c * t) * math.sin(c * t)
 
 
@@ -57,7 +57,7 @@ def rate_after_one_kick(t_m: float, g: float, params: SystemParams | None = None
     complete measurement (g = pi/2), sign-inverted with reduced magnitude for
     pi/2 < g < pi, and purely sign-inverted at g = pi.
     """
-    return rate_free(t_m, params) * math.cos(_real(g))
+    return rate_free(_real(t_m, "t_m"), params) * math.cos(_real(g))
 
 
 def rate_super_zeno(t_m: float, t: float, params: SystemParams | None = None) -> float:
@@ -68,7 +68,7 @@ def rate_super_zeno(t_m: float, t: float, params: SystemParams | None = None) ->
     toward 1; the sign claim holds on the principal window c|t_m - t| < pi/2.
     """
     c = _resonant_coupling(params or SystemParams())
-    return c * math.sin(2.0 * c * (t_m - t))
+    return c * math.sin(2.0 * c * (_real(t_m, "t_m") - _real(t, "t")))
 
 
 def rate_after_n_kicks(
@@ -82,7 +82,7 @@ def rate_after_n_kicks(
     weak each individual kick is.
     """
     n = _count(n, "kick counts")
-    rate = rate_free(t1, params)
+    rate = rate_free(_real(t1, "t1"), params)
     cg = math.cos(_real(g))
     for _ in range(n):
         rate *= cg
@@ -107,7 +107,7 @@ def zeno_loss(
     half = math.sin(0.5 * _real(g)) ** 2  # (1 - cos g) / 2 without cancellation
     if half == 0.0:
         raise ValueError(f"the Zeno law needs 1 - cos g > 0, got g = {g}")
-    return (c * total_time) ** 2 * (1.0 - half) / (half * n)
+    return (c * _real(total_time, "total_time")) ** 2 * (1.0 - half) / (half * n)
 
 
 def survival_function(
@@ -121,7 +121,7 @@ def survival_function(
     choice is invisible): the fold and guard of ``engine.final_state``, on
     plain scalars.  Repeated kick times mean back-to-back kicks.  A bad kick
     value or a negative kick time raises ValueError here, not at the first
-    evaluation; an evaluation time is refused as ``final_state``'s total_time.
+    evaluation; an evaluation time is read as ``final_state``'s total_time.
     """
     p = params or SystemParams()
     sequence = tuple(sorted(((_real(t), _real(g)) for t, g in kicks), key=lambda k: k[0]))
@@ -129,7 +129,7 @@ def survival_function(
         raise ValueError(f"kick times must be >= 0, got {sequence[0][0]}")
 
     def p10(t: float) -> float:
-        included = [(tm, g) for tm, g in sequence if tm <= t]
+        included = ((tm, g) for tm, g in sequence if tm <= t)  # lazy: ``_final`` reads t first
         a, _, _ = engine._final(included, t, p)
         return a.real**2 + a.imag**2  # ``ReducedState.p10``
 
@@ -146,13 +146,15 @@ def finite_difference_rate(
 
     side "central" has O(step^2) truncation error and defaults to step 1e-5;
     "left"/"right" are O(step) one-sided differences (defaulting to 1e-6) for
-    probing the kinks at kick instants.  Steps below 1e-9 are rejected because
-    round-off would dominate the quotient.
+    probing the kinks at kick instants.  ``t`` and ``step`` are read by
+    ``core._real``; steps below 1e-9 are refused, as round-off would dominate.
     """
     if side not in ("central", "left", "right"):
         raise ValueError(f"side must be 'central', 'left' or 'right', got {side!r}")
-    h = step if step is not None else (CENTRAL_STEP if side == "central" else ONE_SIDED_STEP)
-    if not math.isfinite(h) or h < MIN_STEP:
+    t = _real(t, "t")
+    default = CENTRAL_STEP if side == "central" else ONE_SIDED_STEP
+    h = default if step is None else _real(step, "step")
+    if h < MIN_STEP:
         raise ValueError(f"step must be >= {MIN_STEP}, got {h}")
     if side == "central":
         return (p10(t + h) - p10(t - h)) / (2.0 * h)

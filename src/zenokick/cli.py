@@ -63,6 +63,7 @@ from .core import (
     _check_free_step,
     _check_samples,
     _count,
+    _real,
     _sample_layout,
 )
 
@@ -131,11 +132,11 @@ class ConfigError(Exception):
 class ScenarioConfig:
     """Typed view of one scenario file; attribute names are pythonic, keys are not.
 
-    Valid by construction: building one fills the defaults of a ``run``'s
-    empty ``g_list``, ``(0.0,)``, and of an ``oracle-check``'s empty
-    ``n_list``, ``ORACLE_CHECK_KICK_COUNTS``; then it runs ``_check_scenario``
-    and ``params()``, so a config that exists can be run, and a ValueError
-    names the first rule a scenario breaks.
+    Valid by construction: building one reads its energies, durations and
+    counts, fills the defaults of a ``run``'s empty ``g_list``, ``(0.0,)``,
+    and of an ``oracle-check``'s empty ``n_list``, ``ORACLE_CHECK_KICK_COUNTS``,
+    then runs ``_check_scenario`` and ``params()``: a config that exists can
+    be run, and a ValueError names the first rule a scenario breaks.
     """
 
     scenario: str
@@ -154,10 +155,16 @@ class ScenarioConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        given = [name for name in ("total_time", "interval") if getattr(self, name) is not None]
+        for name in ("coupling", "eps_a", "eps_b", *given):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("resolution", "trials", "seed"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.scenario == "run" and not self.g_list:
             object.__setattr__(self, "g_list", (0.0,))
         if self.scenario == "oracle-check" and not self.n_list:
             object.__setattr__(self, "n_list", ORACLE_CHECK_KICK_COUNTS)
+        object.__setattr__(self, "n_list", tuple(_count(n, "kick counts") for n in self.n_list))
         _check_scenario(self)
         self.params()  # refuses energies whose sum or difference overflows
 
@@ -321,9 +328,9 @@ def _check_scenario(config: ScenarioConfig) -> None:
     ``resolution / T``, must stay finite.  The longest free step, ``T`` or
     ``tau`` for an interval sweep, must pass ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
-    finite-difference steps stop resolving the dynamics.  Counts are read
-    while the file is parsed; the rules that a public entry owns (kick
-    times, a positive duration) are left to it.
+    finite-difference steps stop resolving the dynamics.  The numbers are
+    read before it, by ``ScenarioConfig``; the rules that a public entry owns
+    (kick times, a positive duration) are left to it.
     """
     if config.scenario == "rates" and config.coupling > RATES_MAX_COUPLING:
         raise ValueError(
@@ -583,16 +590,16 @@ def oracle_engine_deviation(
 
     Each trial draws a kick count from ``n_choices``, sorts uniform kick times
     in [0, total_time] and draws each strength uniformly in [0, 2 pi], then
-    compares P10, P01 and Pvac pointwise on the shared sample grid.
-    ``trials``, each of ``n_choices`` and ``resolution`` are counts read by
-    ``core._count``, and a kick count past ``ORACLE_CHECK_MAX_KICKS`` raises
-    ``CapacityError``.  Kick times are redrawn until they are distinct; a
-    ValueError is raised if ``_KICK_TIME_DRAWS`` draws never give distinct
-    times.  Every trial is drawn before any is run, in that order, so a seed
-    gives the same trials however they are run.  They run in the batches of
-    ``oracle._batches``, one batch at a time, and each path's samples get
-    the guard of a ``Trajectory``.  The largest deviation does not depend on
-    the batching, and a NaN deviation is kept, so that it reads as FAIL.
+    compares P10, P01 and Pvac pointwise on the shared sample grid.  Counts
+    are read by ``core._count`` and ``total_time`` by ``core._real``; a kick
+    count past ``ORACLE_CHECK_MAX_KICKS`` raises ``CapacityError``.  Kick
+    times are redrawn until they are distinct; a ValueError is raised if
+    ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
+    drawn before any is run, in that order, so a seed gives the same trials
+    however they are run.  They run in the batches of ``oracle._batches``,
+    one batch at a time, and each path's samples get the guard of a
+    ``Trajectory``.  The largest deviation does not depend on the batching,
+    and a NaN deviation is kept, so that it reads as FAIL.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -608,7 +615,7 @@ def oracle_engine_deviation(
         raise CapacityError(
             f"oracle check supports at most {ORACLE_CHECK_MAX_KICKS} kicks per schedule"
         )
-    if total_time <= 0:
+    if _real(total_time, "total_time") <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     rng = random.Random(seed)
     schedules = []

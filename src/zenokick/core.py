@@ -63,7 +63,7 @@ class OffResonanceError(Exception):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical constants of the coupled pair.
+    """Physical constants of the coupled pair, each kept as the float ``_real`` reads.
 
     coupling: excitation-exchange rate between the qubits, > 0.
     eps_a, eps_b: excited-state energies of qubit a and qubit b; their sum
@@ -75,8 +75,8 @@ class SystemParams:
     eps_b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.coupling, self.eps_a, self.eps_b)):
-            raise ValueError("SystemParams fields must be finite")
+        for name in ("coupling", "eps_a", "eps_b"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not all(math.isfinite(v) for v in (self.eps_a + self.eps_b, self.eps_a - self.eps_b)):
             raise ValueError(
                 "eps_a + eps_b and eps_a - eps_b must not overflow, "
@@ -90,19 +90,19 @@ class SystemParams:
         return self.eps_a == self.eps_b
 
 
-def _real(value) -> float:
-    """A kick time or strength as a float; ValueError unless it is a finite real number.
+def _real(value, name: str = "kick times and strengths") -> float:
+    """A real number as a float; ValueError unless it is a finite real number.
 
-    Every public entry reads its kick values here, and no code after it
-    checks them again.  ``float()`` alone would also read ``'0.5'`` or
-    ``b'0.5'``; ints and numpy scalars convert as ``float()`` does.
+    Every public entry reads its real inputs here, and no code after it checks
+    them again; ``name`` names the value.  ``float()`` alone would also read
+    ``'0.5'`` or ``b'0.5'``; ints and numpy scalars convert as it does.
     """
     # A Python float skips the ABC check, which costs about 30 times more.
     if type(value) is not float and not isinstance(value, numbers.Real):
-        raise ValueError(f"kick times and strengths must be real numbers, got {value!r}")
+        raise ValueError(f"{name} must be real numbers, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"kick times and strengths must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -126,7 +126,7 @@ def _count(value, name: str) -> int:
 
 
 def _check_free_step(dt: float, params, name: str = "dt") -> None:
-    """ValueError unless a free step ``dt`` is finite, >= 0 and turns finite angles.
+    """ValueError unless a free step ``dt``, read by ``_real``, is >= 0 and turns finite angles.
 
     The angles are ``omega * dt``, ``(eps_a + eps_b) * dt`` and
     ``(eps_a - eps_b) * dt``; past them a propagator turns to NaN.  The full
@@ -138,8 +138,8 @@ def _check_free_step(dt: float, params, name: str = "dt") -> None:
     ``eps_b``, so ``cli`` passes a scenario config; ``name`` names the step
     in the message.
     """
-    if not 0.0 <= dt < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {dt}")
+    if _real(dt, name) < 0:
+        raise ValueError(f"{name} must be >= 0, got {dt}")
     total, diff = params.eps_a + params.eps_b, params.eps_a - params.eps_b
     omega = math.hypot(0.5 * diff, params.coupling)
     for rate, label in ((omega, "omega"), (total, "(eps_a + eps_b)"), (diff, "(eps_a - eps_b)")):
@@ -155,12 +155,12 @@ class KickSchedule:
     """Ordered instantaneous probe kicks over a finite run.
 
     kicks: (time, strength in radians) pairs with strictly increasing times,
-        all inside [0, total_time].  May be empty.
-    sample_resolution: uniform trajectory samples per unit time; 0 keeps only
-        the endpoints (plus the pre/post pair recorded at every kick).
+        all inside [0, total_time], total_time >= 0.  May be empty.
+    sample_resolution: uniform trajectory samples per unit time, >= 0; 0 keeps
+        only the endpoints (plus the pre/post pair recorded at every kick).
 
-    A schedule takes at most ``MAX_SAMPLES`` samples, its grid points plus
-    two per kick, and one with more is refused before anything is allocated.
+    Numbers are kept as ``_real`` reads them.  More than ``MAX_SAMPLES``
+    samples, grid points plus two per kick, are refused before allocating.
     """
 
     kicks: tuple[tuple[float, float], ...]
@@ -170,10 +170,10 @@ class KickSchedule:
     def __post_init__(self) -> None:
         kicks = tuple((_real(t), _real(g)) for t, g in self.kicks)
         object.__setattr__(self, "kicks", kicks)
-        if not math.isfinite(self.total_time) or self.total_time < 0:
-            raise ValueError(f"total_time must be finite and >= 0, got {self.total_time}")
-        if not math.isfinite(self.sample_resolution) or self.sample_resolution < 0:
-            raise ValueError("sample_resolution must be finite and >= 0")
+        for name in ("total_time", "sample_resolution"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         previous = -math.inf
         for t, _ in kicks:
             if not 0.0 <= t <= self.total_time:
@@ -299,12 +299,10 @@ def _check_state(a: complex, b: complex, v: float) -> None:
 def _block_entries(dt: float, params: SystemParams) -> tuple[complex, complex, complex]:
     """Exact exp(-i H dt) on the (|1,0>, |0,1>) block, H = [[eps_a, c], [c, eps_b]].
 
-    Returns the entries (u00, u01 = u10, u11) as Python complex numbers.
-    Valid for any detuning; at eps_a == eps_b the block reduces to the
-    rotation [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
+    Takes a step that ``_check_free_step`` has passed and returns the entries
+    (u00, u01 = u10, u11) as Python complex numbers.  Valid for any detuning;
+    at eps_a == eps_b the block is [[cos(c dt), -i sin(c dt)], [-i sin(c dt), cos(c dt)]].
     """
-    if not math.isfinite(dt) or dt < 0:
-        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     half_sum = 0.5 * (params.eps_a + params.eps_b)
     half_diff = 0.5 * (params.eps_a - params.eps_b)
     omega = math.hypot(half_diff, params.coupling)  # > 0 since coupling > 0
@@ -326,6 +324,8 @@ def block_minus_identity(dt, params: SystemParams) -> np.ndarray:
     block itself rounds cos(c dt) to 1 once c dt drops below about 1e-8.
     Returns shape (2, 2, *dt.shape): entry [i, j] is an array over dt.
     """
+    if np.asarray(dt).dtype.kind not in "biuf":  # strings, bytes, complex, objects
+        _real(dt, "dt")  # passes only a real scalar that numpy holds as an object
     dt = np.asarray(dt, dtype=float)
     _check_free_step(dt.min(initial=0.0), params)  # a negative or NaN step
     _check_free_step(dt.max(initial=0.0), params)  # the widest angles

@@ -13,7 +13,6 @@ once, in O(log n) numpy steps, and returns the cells as one record array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Iterable, Iterator
 
@@ -118,8 +117,8 @@ def final_state(
     strictly increasing) kick times: repeated times mean back-to-back kicks
     with no free evolution in between.  The returned state passes the
     population and norm guard of a ``Trajectory``; a ValueError is raised
-    otherwise.  Kick times and strengths are read as ``KickSchedule`` reads
-    them.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
+    otherwise.  Kick values and ``total_time`` are read as ``KickSchedule``
+    reads them.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
     """
     kicks = ((_real(t), _real(g)) for t, g in kicks)
     return ReducedState(*_final(kicks, total_time, params))
@@ -169,13 +168,13 @@ def sweep(
 ) -> np.recarray:
     """Populations of every (g, n) cell: a record array with fields g, n, p10, p01, pvac.
 
-    Exactly one duration must be given, and it picks the timing rule:
+    Exactly one duration, a positive real, picks the timing rule:
     ``total_time`` keeps the run length fixed (tau = total_time / n shrinks
     as n grows), ``interval`` keeps the spacing tau fixed (the run lasts
     n * interval).  Kick k lands at k * tau, so the last one is on the final
     instant.  A cell with n = 0 is free evolution over ``total_time``, or
-    the untouched initial state for ``interval``.  Kick counts are read by
-    ``core._count``: integers in [0, 2**63 - 1], which int64 holds.
+    the untouched initial state for ``interval``.  Reals are read by
+    ``core._real``, counts by ``core._count`` (int64 holds [0, 2**63 - 1]).
 
     Records come g outermost, in deterministic grid order, one per cell.
     Every cell passes the population and norm guard of a ``Trajectory``; a
@@ -193,9 +192,9 @@ def sweep(
         raise ValueError("g_values and n_values must be non-empty")
     if (total_time is None) == (interval is None):
         raise ValueError("give exactly one of total_time or interval")
-    duration = total_time if total_time is not None else interval
-    if not math.isfinite(duration) or duration <= 0:
-        raise ValueError(f"the duration must be finite and positive, got {duration}")
+    duration = _real(total_time if total_time is not None else interval, "the duration")
+    if duration <= 0:
+        raise ValueError(f"the duration must be positive, got {duration}")
     params = params or SystemParams()
     g_column = np.repeat(g_values, len(n_values))
     n_column = np.tile(np.array(n_values, dtype=np.int64), len(g_values))
@@ -204,10 +203,10 @@ def sweep(
         kicked = n_column > 0
         g_cell = np.where(kicked, g_column, 0.0)
         n_cell = np.where(kicked, n_column, 1)
-        tau = total_time / n_cell
+        tau = duration / n_cell
     else:
         g_cell, n_cell = g_column, n_column
-        tau = np.full(len(n_cell), float(interval))
+        tau = np.full(len(n_cell), duration)
     _check_free_step(tau.max(), params)  # on the given energies, before the shift below
     chunks = []
     for lo in range(0, len(n_cell), SWEEP_CHUNK):

@@ -142,6 +142,21 @@ def test_every_entry_that_takes_a_count_is_in_the_refusal_table():
     assert takes and takes <= table, sorted(takes - table)
 
 
+def test_every_entry_that_takes_a_real_number_is_in_the_refusal_table():
+    # A new public entry that takes a time, a step, a duration, an energy or a
+    # sampling rate must show there that it reads it through ``core._real``.
+    # ``Trajectory``'s ``t`` is a column of samples, which ``_check_samples`` guards.
+    from test_core import REAL_ENTRIES
+
+    names = {
+        "t", "t_m", "t1", "dt", "total_time", "interval", "step",
+        "coupling", "eps_a", "eps_b", "sample_resolution",
+    }
+    takes, table = entries_taking(names, REAL_ENTRIES)
+    takes.discard("core.Trajectory")
+    assert takes and takes <= table, sorted(takes - table)
+
+
 def test_importing_the_package_leaves_the_cli_unloaded():
     # ``cli`` (and argparse) load on first use of ``zenokick.cli``.
     src = str(Path(zenokick.__file__).resolve().parents[1])
@@ -267,3 +282,42 @@ def test_no_command_raises():
         and any(isinstance(part, ast.Raise) for part in ast.walk(node))
     ]
     assert raising == []
+
+
+#: The functions that may call ``math.isfinite``: ``core._real``, the one reader of
+#: real inputs, and the checks of values derived from read ones (the angles of a free
+#: step, the sum and difference of the energies, ``resolution / T``, a literal in a
+#: scenario file, the fields of a reduced state).
+FINITENESS_CHECKS = {
+    "core._real",
+    "core._check_free_step",
+    "core.SystemParams.__post_init__",
+    "core.ReducedState.__post_init__",
+    "cli._check_scenario",
+    "cli.parse_number",
+}
+
+
+def test_only_the_reader_of_real_numbers_tests_an_input_for_finiteness():
+    # A real input is read by ``core._real``; a finiteness test anywhere else
+    # would be a second reader, with its own wording.
+    calls = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (
+                    isinstance(func, ast.Attribute) and func.attr == "isfinite"
+                    and isinstance(func.value, ast.Name) and func.value.id == "math"
+                ) or (isinstance(func, ast.Name) and func.id == "isfinite"):
+                    calls.add(scope)
+            visit(child, scope)
+
+    for path in sorted(SOURCES.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert "core._real" in calls
+    assert sorted(calls - FINITENESS_CHECKS) == []

@@ -101,7 +101,7 @@ class TestFreePropagate:
         with pytest.raises(ValueError):
             free_propagate(ReducedState(), -0.1, RESONANT)
         with pytest.raises(ValueError):
-            single_excitation_block(math.nan, RESONANT)
+            free_propagate(ReducedState(), math.nan, RESONANT)
 
     @given(states, durations)
     def test_unitary_on_excitation_sector(self, state, dt):
@@ -280,7 +280,8 @@ REAL_NUMBER_ENTRIES = {
     "zeno_loss": (lambda x: analytics.zeno_loss(4, x, 1.0),),
 }
 
-#: each value refused as a kick time or strength, with the one message that refuses it
+#: each value refused as a real number, a kick value among them, with the one message
+#: that refuses it
 REFUSED_VALUES = {
     "str": ("0.5", "must be real numbers, got '0.5'"),
     "bytes": (b"0.5", "must be real numbers, got b'0.5'"),
@@ -305,9 +306,9 @@ def test_kick_times_and_strengths_must_be_real_numbers(entry, value):
 #: every public entry that takes a count, as (the count's name in the messages, a call
 #: with one count) pairs, once per count it reads; ``tests/test_api.py`` holds every
 #: public signature with ``n``, ``n_values``, ``n_choices``, ``trials`` or ``resolution``
-#: to it.  A ``ScenarioConfig`` gets its counts from a scenario file, whose key parsers
-#: are handed each value as a file writes it, ``repr(value)``; one built in Python
-#: leaves its counts to the entries that a command calls with them.
+#: to it.  ``ScenarioConfig`` rows hand each value to the scenario file's key parsers
+#: as a file writes it, ``repr(value)``; ``cli.ScenarioConfig`` rows build a config in
+#: Python, which reads its counts when it is built.
 COUNT_ENTRIES = {
     "sweep": (("kick counts", lambda n: engine.sweep((1.0,), (n,), total_time=1.0)),),
     "run_equally_spaced": (
@@ -326,6 +327,15 @@ COUNT_ENTRIES = {
         ("seed", lambda n: cli._KEYS["seed"][1](repr(n))),
         ("kick counts", lambda n: cli._KEYS["N_list"][1](f"{n!r}..3")),
         ("kick counts", lambda n: cli._KEYS["N_list"][1](f"0..{n!r}")),
+    ),
+    "cli.ScenarioConfig": (
+        ("resolution", lambda n: cli.ScenarioConfig("run", total_time=1.0, resolution=n)),
+        ("trials", lambda n: cli.ScenarioConfig("oracle-check", total_time=1.0, trials=n)),
+        ("seed", lambda n: cli.ScenarioConfig("oracle-check", total_time=1.0, seed=n)),
+        (
+            "kick counts",
+            lambda n: cli.ScenarioConfig("sweep", total_time=1.0, g_list=(1.0,), n_list=(n,)),
+        ),
     ),
 }
 
@@ -349,6 +359,80 @@ def test_counts_must_be_integers_in_range(entry, value):
     handed = repr(value) if entry == "ScenarioConfig" else value
     for name, build in COUNT_ENTRIES[entry]:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}'.format(handed))}$"):
+            build(value)
+
+
+#: every public entry that takes a real number other than a kick value, as (the value's
+#: name in the messages, a call with one value) pairs, once per value it reads;
+#: ``tests/test_api.py`` holds every public signature with a time, a step, a duration,
+#: an energy or a sampling rate to it.  Each is refused with ``REFUSED_VALUES``' messages.
+REAL_ENTRIES = {
+    "SystemParams": (
+        ("coupling", lambda x: SystemParams(coupling=x)),
+        ("eps_a", lambda x: SystemParams(eps_a=x)),
+        ("eps_b", lambda x: SystemParams(eps_b=x)),
+    ),
+    "KickSchedule": (
+        ("total_time", lambda x: KickSchedule((), x)),
+        ("sample_resolution", lambda x: KickSchedule((), 1.0, x)),
+    ),
+    "free_propagate": (("dt", lambda x: free_propagate(ReducedState(), x, RESONANT)),),
+    "block_minus_identity": (("dt", lambda x: block_minus_identity(x, RESONANT)),),
+    "oracle.free_step": (
+        ("dt", lambda x: oracle.free_step(oracle.initial_state(1), x, RESONANT)),
+    ),
+    "final_state": (("total_time", lambda x: engine.final_state((), x, RESONANT)),),
+    "sweep": (
+        ("the duration", lambda x: engine.sweep((1.0,), (3,), total_time=x)),
+        ("the duration", lambda x: engine.sweep((1.0,), (3,), interval=x)),
+    ),
+    "run_equally_spaced": (
+        ("the duration", lambda x: engine.run_equally_spaced(3, 1.0, total_time=x)),
+        ("the duration", lambda x: engine.run_equally_spaced(3, 1.0, interval=x)),
+    ),
+    "rate_free": (("t", lambda x: analytics.rate_free(x)),),
+    "rate_after_one_kick": (("t_m", lambda x: analytics.rate_after_one_kick(x, 1.0)),),
+    "rate_super_zeno": (
+        ("t_m", lambda x: analytics.rate_super_zeno(x, 0.3)),
+        ("t", lambda x: analytics.rate_super_zeno(0.5, x)),
+    ),
+    "rate_after_n_kicks": (("t1", lambda x: analytics.rate_after_n_kicks(x, 1.0, 2)),),
+    "zeno_loss": (("total_time", lambda x: analytics.zeno_loss(10, 1.0, x)),),
+    # the evaluation time of a curve; a kick makes it compare t with a kick time
+    "survival_function": (
+        ("total_time", lambda x: analytics.survival_function(((0.5, 1.0),))(x)),
+    ),
+    "finite_difference_rate": (
+        ("t", lambda x: analytics.finite_difference_rate(math.cos, x)),
+        ("step", lambda x: analytics.finite_difference_rate(math.cos, 0.5, step=x)),
+    ),
+    "ScenarioConfig": (
+        ("coupling", lambda x: cli.ScenarioConfig("rates", coupling=x)),
+        ("eps_a", lambda x: cli.ScenarioConfig("rates", eps_a=x)),
+        ("eps_b", lambda x: cli.ScenarioConfig("rates", eps_b=x)),
+        ("total_time", lambda x: cli.ScenarioConfig("run", total_time=x)),
+        (
+            "interval",
+            lambda x: cli.ScenarioConfig(
+                "sweep", g_list=(1.0,), n_list=(1,), mode="interval", interval=x
+            ),
+        ),
+    ),
+    "oracle_engine_deviation": (
+        ("total_time", lambda x: cli.oracle_engine_deviation(1, (1,), x, 10, 0, RESONANT)),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", list(REFUSED_VALUES))
+@pytest.mark.parametrize("entry", list(REAL_ENTRIES))
+def test_real_numbers_must_be_finite_reals(entry, value):
+    # KickSchedule((), '1.0') and SystemParams('1') raised TypeError,
+    # rate_free(nan) returned nan, zeno_loss(10, 1.0, inf) returned inf, and
+    # block_minus_identity('0.1', ...) returned a block.
+    value, message = REFUSED_VALUES[value]
+    for name, build in REAL_ENTRIES[entry]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
             build(value)
 
 
