@@ -55,7 +55,6 @@ from .analytics import (
 )
 from .core import (
     MAX_SAMPLES,
-    CapacityError,
     KickSchedule,
     OffResonanceError,
     SystemParams,
@@ -328,9 +327,11 @@ def _check_scenario(config: ScenarioConfig) -> None:
     ``resolution / T``, must stay finite.  The longest free step, ``T`` or
     ``tau`` for an interval sweep, must pass ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
-    finite-difference steps stop resolving the dynamics.  The numbers are
-    read before it, by ``ScenarioConfig``; the rules that a public entry owns
-    (kick times, a positive duration) are left to it.
+    finite-difference steps stop resolving the dynamics, and ``oracle-check``
+    needs ``T > 0`` and at most ``ORACLE_CHECK_MAX_KICKS`` kicks per trial.
+    The numbers are read before it, by ``ScenarioConfig``; the rules that a
+    public entry owns (kick times, a run's or a sweep's positive duration)
+    are left to it.
     """
     if config.scenario == "rates" and config.coupling > RATES_MAX_COUPLING:
         raise ValueError(
@@ -367,8 +368,15 @@ def _check_scenario(config: ScenarioConfig) -> None:
             raise ValueError(
                 f"resolution / T overflows (resolution = {config.resolution}, T = {step:g})"
             )
-    if step >= 0:  # a negative duration is refused where the scenario runs
+    if step >= 0:  # a negative duration is refused here or where the scenario runs
         _check_free_step(step, config, step_name)
+    if config.scenario == "oracle-check":
+        if max(config.n_list) > ORACLE_CHECK_MAX_KICKS:
+            raise ValueError(
+                f"oracle check supports at most {ORACLE_CHECK_MAX_KICKS} kicks per schedule"
+            )
+        if step <= 0:
+            raise ValueError(f"total_time must be positive, got {step}")
 
 
 PRESETS: dict[str, str] = {
@@ -578,28 +586,21 @@ def cmd_sweep(config: ScenarioConfig, gnuplot: bool = False) -> int:
     return 0
 
 
-def oracle_engine_deviation(
-    trials: int,
-    n_choices: Sequence[int],
-    total_time: float,
-    resolution: int,
-    seed: int,
-    params: SystemParams,
-) -> float:
-    """Max |population difference| between the reduced and dense paths.
+def oracle_engine_deviation(config: ScenarioConfig) -> float:
+    """Max |population difference| between the reduced and dense paths of an ``oracle-check``.
 
-    Each trial draws a kick count from ``n_choices``, sorts uniform kick times
-    in [0, total_time] and draws each strength uniformly in [0, 2 pi], then
-    compares P10, P01 and Pvac pointwise on the shared sample grid.  Counts
-    are read by ``core._count`` and ``total_time`` by ``core._real``; a kick
-    count past ``ORACLE_CHECK_MAX_KICKS`` raises ``CapacityError``.  Kick
-    times are redrawn until they are distinct; a ValueError is raised if
-    ``_KICK_TIME_DRAWS`` draws never give distinct times.  Every trial is
-    drawn before any is run, in that order, so a seed gives the same trials
-    however they are run.  They run in the batches of ``oracle._batches``,
-    one batch at a time, and each path's samples get the guard of a
-    ``Trajectory``.  The largest deviation does not depend on the batching,
-    and a NaN deviation is kept, so that it reads as FAIL.
+    Each of ``config.trials`` trials draws a kick count from ``config.n_list``,
+    sorts uniform kick times in [0, T] and draws each strength uniformly in
+    [0, 2 pi], then compares P10, P01 and Pvac pointwise on the shared sample
+    grid.  The config was checked when it was built; a config of another
+    scenario raises ValueError.  Kick times are redrawn until they are
+    distinct; a ValueError is raised if ``_KICK_TIME_DRAWS`` draws never give
+    distinct times.  Every trial is drawn before any is run, in that order,
+    so a seed gives the same trials however they are run.  They run in the
+    batches of ``oracle._batches``, one batch at a time, and each path's
+    samples get the guard of a ``Trajectory``.  The largest deviation does
+    not depend on the batching, and a NaN deviation is kept, so that it reads
+    as FAIL.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -609,18 +610,13 @@ def oracle_engine_deviation(
     behind ``uniform`` fixed per seed across versions; numpy makes no such
     promise for its ``Generator`` methods.
     """
-    trials, resolution = _count(trials, "trials"), _count(resolution, "resolution")
-    n_choices = tuple(_count(n, "kick counts") for n in n_choices)
-    if max(n_choices, default=0) > ORACLE_CHECK_MAX_KICKS:
-        raise CapacityError(
-            f"oracle check supports at most {ORACLE_CHECK_MAX_KICKS} kicks per schedule"
-        )
-    if _real(total_time, "total_time") <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
-    rng = random.Random(seed)
+    if config.scenario != "oracle-check":
+        raise ValueError(f"the check needs scenario 'oracle-check', got {config.scenario!r}")
+    total_time, params = config.total_time, config.params()
+    rng = random.Random(config.seed)
     schedules = []
-    for _ in range(trials):
-        n = rng.choice(n_choices) if n_choices else 0
+    for _ in range(config.trials):
+        n = rng.choice(config.n_list)
         for _ in range(_KICK_TIME_DRAWS):
             times = sorted(rng.uniform(0.0, total_time) for _ in range(n))
             if all(a < b for a, b in zip(times, times[1:])):
@@ -628,7 +624,7 @@ def oracle_engine_deviation(
         else:
             raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
         strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
-        schedules.append(_schedule(zip(times, strengths), total_time, resolution))
+        schedules.append(_schedule(zip(times, strengths), total_time, config.resolution))
     worst = 0.0
     for batch in oracle._batches(schedules):
         members = [schedules[i] for i in batch]
@@ -648,10 +644,7 @@ def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
     """Randomized reduced-vs-dense comparison; prints one report line and plots nothing."""
     if config.trials == 0:
         print("warning: trials=0, nothing was compared", file=sys.stderr)
-    max_dev = oracle_engine_deviation(
-        config.trials, config.n_list, config.total_time, config.resolution,
-        config.seed, config.params(),
-    )
+    max_dev = oracle_engine_deviation(config)
     status = "PASS" if max_dev <= ORACLE_CHECK_TOLERANCE else "FAIL"
     report = f"status={status} max_dev={max_dev:.3e} trials={config.trials}"
     print(report)
@@ -770,7 +763,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return COMMANDS[config.scenario](config, args.gnuplot)
-    except (ValueError, CapacityError, OffResonanceError) as exc:
+    except (ValueError, OffResonanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

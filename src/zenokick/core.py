@@ -95,12 +95,17 @@ def _real(value, name: str = "kick times and strengths") -> float:
 
     Every public entry reads its real inputs here, and no code after it checks
     them again; ``name`` names the value.  ``float()`` alone would also read
-    ``'0.5'`` or ``b'0.5'``; ints and numpy scalars convert as it does.
+    ``'0.5'`` or ``b'0.5'``; ints and numpy scalars convert as it does.  A
+    number past the float range, such as ``10**400``, is refused without
+    being printed: ``str()`` of an int past 4300 digits raises on its own.
     """
     # A Python float skips the ABC check, which costs about 30 times more.
     if type(value) is not float and not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be real numbers, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number past the float range") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value

@@ -37,10 +37,11 @@ def test_c01_reduced_path_equals_dense_path():
     ok = True
     for name, params in (("resonant", RESONANT), ("detuned", DETUNED)):
         start = time.monotonic()
-        max_dev = cli.oracle_engine_deviation(
-            trials=200, n_choices=tuple(range(11)), total_time=1.0,
-            resolution=100, seed=2024, params=params,
+        config = cli.ScenarioConfig(
+            "oracle-check", params.coupling, params.eps_a, params.eps_b,
+            n_list=tuple(range(11)), total_time=1.0, resolution=100, trials=200, seed=2024,
         )
+        max_dev = cli.oracle_engine_deviation(config)
         elapsed = time.monotonic() - start
         ok &= max_dev <= 1e-10 and elapsed < 30.0
         details.append(f"{name} max_dev={max_dev:.3e} {elapsed:.1f}s")

@@ -145,6 +145,15 @@ class TestRateAfterNKicks:
         with pytest.raises(ValueError):
             analytics.rate_after_n_kicks(0.5, 1.0, -1)
 
+    def test_a_count_past_the_cap_is_refused_up_front(self):
+        # Every count up to 2**63 - 1 ran the loop: 10**7 kicks took over a second.
+        cap = analytics.MAX_BURST_KICKS
+        assert analytics.rate_after_n_kicks(0.5, math.pi, cap) == analytics.rate_free(0.5)
+        for n in (cap + 1, 2**63 - 1):
+            message = f"^rate_after_n_kicks takes at most {cap} kicks, got {n}$"
+            with pytest.raises(ValueError, match=message):
+                analytics.rate_after_n_kicks(0.5, 1.0, n)
+
 
 class TestSurvivalFunction:
     def test_only_past_kicks_apply(self):

@@ -463,11 +463,14 @@ class TestOracleCheck:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("N_list = -1..2\nT = 1", "<file>:3: kick counts must be >= 0, got -1"),  # while parsed
-            ("N_list = 2\nT = 0", "total_time must be positive, got 0.0"),
-            ("N_list = 2", "<file>: scenario 'oracle-check' needs T"),  # refused while parsed
+            # each refused while the file is parsed
+            ("N_list = -1..2\nT = 1", "<file>:3: kick counts must be >= 0, got -1"),
+            ("N_list = 2\nT = 0", "<file>: total_time must be positive, got 0.0"),
+            ("N_list = 2\nT = -1", "<file>: total_time must be positive, got -1.0"),
+            ("N_list = 2", "<file>: scenario 'oracle-check' needs T"),
+            ("N_list = 11\nT = 1", "<file>: oracle check supports at most 10 kicks per schedule"),
         ],
-        ids=["negative-kick-count", "zero-T", "no-T"],
+        ids=["negative-kick-count", "zero-T", "negative-T", "no-T", "eleven-kicks"],
     )
     def test_a_scenario_it_cannot_check_is_refused(self, body, message, tmp_path, capsys):
         out = tmp_path / "report.txt"
@@ -477,13 +480,12 @@ class TestOracleCheck:
         expected = f"config error: {message}\n".replace("<file>", str(path))
         assert capsys.readouterr().err == expected
         assert not out.exists()
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(path.read_text(), str(path))
 
-    def test_too_many_kicks_is_a_capacity_error(self, tmp_path):
-        config, _ = self.config(tmp_path, n="11")
-        from zenokick.core import CapacityError
-
-        with pytest.raises(CapacityError):
-            cli.cmd_oracle_check(config)
+    def test_a_config_of_another_scenario_is_refused(self):
+        with pytest.raises(ValueError, match="^the check needs scenario 'oracle-check', got 'run'$"):
+            cli.oracle_engine_deviation(cli.ScenarioConfig("run", total_time=1.0))
 
     @pytest.mark.parametrize("seed", [3, 2024])
     def test_a_seed_draws_the_documented_trials(self, monkeypatch, seed):
@@ -504,9 +506,11 @@ class TestOracleCheck:
         assert len({len(kicks) for kicks, _, _ in expected}) == len(n_choices)
 
         drawn = self.capture_the_drawn_trials(monkeypatch)
-        dev = cli.oracle_engine_deviation(
-            trials, n_choices, total_time, resolution, seed, SystemParams()
+        config = cli.ScenarioConfig(
+            "oracle-check", n_list=n_choices, total_time=total_time, resolution=resolution,
+            trials=trials, seed=seed,
         )
+        dev = cli.oracle_engine_deviation(config)
         assert dev <= cli.ORACLE_CHECK_TOLERANCE
         assert [(s.kicks, s.total_time, s.sample_resolution) for s in drawn] == expected
 
@@ -530,7 +534,11 @@ class TestOracleCheck:
     )
     def test_returns_the_largest_deviation_of_one_run_per_trial(self, monkeypatch, seed, params):
         drawn = self.capture_the_drawn_trials(monkeypatch)
-        dev = cli.oracle_engine_deviation(30, (0, 1, 4, 9, 10), 1.1, 50, seed, params)
+        config = cli.ScenarioConfig(
+            "oracle-check", params.coupling, params.eps_a, params.eps_b, n_list=(0, 1, 4, 9, 10),
+            total_time=1.1, resolution=50, trials=30, seed=seed,
+        )
+        dev = cli.oracle_engine_deviation(config)
         assert len(drawn) == 30 and len({len(s.kicks) for s in drawn}) > 1
         expected = max(
             float(np.max(np.abs(getattr(reduced, attr) - getattr(dense, attr))))

@@ -2,10 +2,11 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import single_excitation_block
 from scipy.linalg import expm
@@ -42,6 +43,8 @@ vacuum = st.floats(0.0, 0.99)
 states = st.builds(normalized_state, amplitude, amplitude, amplitude, amplitude, vacuum)
 strengths = st.floats(-4.0 * math.pi, 4.0 * math.pi)
 durations = st.floats(0.0, 5.0)
+#: the same examples on every run, and no example database written
+deterministic = settings(derandomize=True, database=None)
 
 
 class TestSystemParams:
@@ -103,12 +106,14 @@ class TestFreePropagate:
         with pytest.raises(ValueError):
             free_propagate(ReducedState(), math.nan, RESONANT)
 
+    @deterministic
     @given(states, durations)
     def test_unitary_on_excitation_sector(self, state, dt):
         out = free_propagate(state, dt, SystemParams(eps_a=0.4, eps_b=-0.2))
         before = state.p10 + state.p01
         assert abs((out.p10 + out.p01) - before) < 1e-13
 
+    @deterministic
     @given(states, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     def test_composition(self, state, t1, t2):
         params = SystemParams(coupling=1.3, eps_a=0.2, eps_b=-0.1)
@@ -172,10 +177,12 @@ class TestApplyKick:
         assert out.b == pytest.approx(1j * beta, abs=1e-15)
         assert out.v < 1e-30
 
+    @deterministic
     @given(states, strengths)
     def test_never_touches_survivor_amplitude(self, state, g):
         assert apply_kick(state, g).a == state.a
 
+    @deterministic
     @given(states, strengths)
     def test_periodic_in_two_pi(self, state, g):
         # Bitwise equality is out of reach: g + 2*pi rounds before cos/sin
@@ -185,6 +192,7 @@ class TestApplyKick:
         assert abs(near.b - far.b) < 5e-15
         assert abs(near.v - far.v) < 5e-15
 
+    @deterministic
     @given(states, strengths)
     def test_norm_preserved(self, state, g):
         out = apply_kick(state, g)
@@ -288,6 +296,7 @@ REFUSED_VALUES = {
     "nan": (math.nan, "must be finite, got nan"),
     "inf": (math.inf, "must be finite, got inf"),
     "-inf": (-math.inf, "must be finite, got -inf"),
+    "10**400": (10**400, "must be finite, got a number past the float range"),
 }
 
 
@@ -303,6 +312,11 @@ def test_kick_times_and_strengths_must_be_real_numbers(entry, value):
             build(value)
 
 
+#: a valid ``oracle-check`` config, one trial of one kick
+SMALL_CHECK = cli.ScenarioConfig(
+    "oracle-check", total_time=1.0, n_list=(1,), trials=1, resolution=10
+)
+
 #: every public entry that takes a count, as (the count's name in the messages, a call
 #: with one count) pairs, once per count it reads; ``tests/test_api.py`` holds every
 #: public signature with ``n``, ``n_values``, ``n_choices``, ``trials`` or ``resolution``
@@ -316,10 +330,11 @@ COUNT_ENTRIES = {
     ),
     "rate_after_n_kicks": (("kick counts", lambda n: analytics.rate_after_n_kicks(0.3, 1.0, n)),),
     "zeno_loss": (("kick counts", lambda n: analytics.zeno_loss(n, 1.0, 1.0)),),
+    # the check takes a config, which refuses the count before the check can be called
     "oracle_engine_deviation": (
-        ("trials", lambda n: cli.oracle_engine_deviation(n, (1,), 1.0, 10, 0, RESONANT)),
-        ("kick counts", lambda n: cli.oracle_engine_deviation(1, (n,), 1.0, 10, 0, RESONANT)),
-        ("resolution", lambda n: cli.oracle_engine_deviation(1, (1,), 1.0, n, 0, RESONANT)),
+        ("trials", lambda n: cli.oracle_engine_deviation(replace(SMALL_CHECK, trials=n))),
+        ("kick counts", lambda n: cli.oracle_engine_deviation(replace(SMALL_CHECK, n_list=(n,)))),
+        ("resolution", lambda n: cli.oracle_engine_deviation(replace(SMALL_CHECK, resolution=n))),
     ),
     "ScenarioConfig": (
         ("resolution", lambda n: cli._KEYS["resolution"][1](repr(n))),
@@ -419,7 +434,10 @@ REAL_ENTRIES = {
         ),
     ),
     "oracle_engine_deviation": (
-        ("total_time", lambda x: cli.oracle_engine_deviation(1, (1,), x, 10, 0, RESONANT)),
+        (
+            "total_time",
+            lambda x: cli.oracle_engine_deviation(replace(SMALL_CHECK, total_time=x)),
+        ),
     ),
 }
 

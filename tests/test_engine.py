@@ -260,6 +260,31 @@ class TestSweep:
                         abs(cell.pvac - state.v))
         assert worst <= 1e-13
 
+    @pytest.mark.parametrize(
+        "params", [RESONANT, DETUNED, SystemParams(0.7, -0.3, 0.9)],
+        ids=["resonant", "detuned", "detuned-weak"],
+    )
+    @pytest.mark.parametrize("mode, duration", [("total", math.pi / 2), ("interval", 0.37)])
+    def test_matches_the_dense_path(self, params, mode, duration):
+        # The dense oracle shares no fold with the sweep.  N = 20, at one strength,
+        # reaches oracle.MAX_PROBES.
+        timing = {"total_time": duration} if mode == "total" else {"interval": duration}
+        strengths = (0.3, math.pi / 2, 2.5, math.pi - 0.03, math.pi)
+        cells = [
+            *engine.sweep(strengths, range(1, 17), params=params, **timing),
+            *engine.sweep((2.5,), (oracle.MAX_PROBES,), params=params, **timing),
+        ]
+        worst = 0.0
+        for cell in cells:
+            n = int(cell.n)
+            span = duration if mode == "total" else n * duration
+            # Kick k at k * span / n; the last one lands exactly at the end of the run.
+            kicks = tuple((float(t), float(cell.g)) for t in np.linspace(0.0, span, n + 1)[1:])
+            dense = oracle.run_schedule(KickSchedule(kicks, span, 0.0), params)
+            worst = max(worst, abs(cell.p10 - dense.p10[-1]), abs(cell.p01 - dense.p01[-1]),
+                        abs(cell.pvac - dense.pvac[-1]))
+        assert worst <= 1e-13
+
     def test_failed_norm_guard_raises(self, monkeypatch):
         def leaky(g, n, tau, params):
             ones = np.ones(len(n))
