@@ -373,10 +373,11 @@ def _check_scenario(config: ScenarioConfig) -> None:
     if config.scenario == "oracle-check":
         if max(config.n_list) > ORACLE_CHECK_MAX_KICKS:
             raise ValueError(
-                f"oracle check supports at most {ORACLE_CHECK_MAX_KICKS} kicks per schedule"
+                f"scenario 'oracle-check' needs N_list <= {ORACLE_CHECK_MAX_KICKS}, "
+                f"got N_list = {max(config.n_list)}"
             )
         if step <= 0:
-            raise ValueError(f"total_time must be positive, got {step}")
+            raise ValueError(f"scenario 'oracle-check' needs T > 0, got T = {step:g}")
 
 
 PRESETS: dict[str, str] = {
@@ -549,14 +550,17 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
         outputs.append((path, g))
     # Every run finishes before the first write, so a refused run leaves no
     # files; then one CSV text at a time is formatted and written.
-    trajectories = []
+    params, layout, trajectories = config.params(), None, []
     for _, g in outputs:
         kicks = [(t, g) for t in config.kick_times]
         schedule = _schedule(kicks, config.total_time, config.resolution)
-        trajectories.append(engine.run_schedule(schedule, config.params()))
-    # The sample times come from the kick times and the grid, not from g, so
-    # several files share one formatted t column; a single file formats its
-    # own a block at a time, which holds less memory.
+        # The layout (sample times, anchors, sample blocks) comes from the
+        # kick times and the grid, never from g: every strength shares it.
+        layout = layout or _sample_layout([schedule], params)
+        trajectories.append(Trajectory(*engine._run_batch([schedule], params, layout)))
+    del layout  # its blocks, 64 bytes a sample, would sit beside the CSV texts
+    # So several files also share one formatted t column; a single file
+    # formats its own a block at a time, which holds less memory.
     t_texts = _texts(trajectories[0].t) if len(trajectories) > 1 else None
     for (path, g), traj in zip(outputs, trajectories):
         _write(path, trajectory_csv(traj, t_texts), f" (g={_fmt(g)})")

@@ -315,14 +315,22 @@ class TestCsvFormat:
         header = "check,t_or_N,analytic,numeric,abs_error"
         assert out.read_text() == "\n".join([header, *lines]) + "\n"
 
-    def test_run_files_match_fstring_formatting_of_the_engine(self, tmp_path, capsys):
-        # Kicks at 0.25 and 0.5 fall on grid points; the strengths include
-        # -0.0 and a mirror kick.
+    @pytest.mark.parametrize(
+        "energies, kick_times",
+        [("", "0.25, 0.5, 0.71"), ("G = 1.3\neps_a = 0.4\neps_b = -0.2\n", "0, 0.25, 0.71, 1")],
+        ids=["resonant", "detuned-kicks-at-both-ends"],
+    )
+    def test_run_files_match_fstring_formatting_of_the_engine(
+        self, energies, kick_times, tmp_path, capsys
+    ):
+        # Kicks at 0, 0.25, 0.5 and T = 1 fall on grid points; the strengths
+        # include -0.0 and a mirror kick.  The strengths of the run share one
+        # sample layout, and each file must still be its strength run alone.
         out = tmp_path / "traj.csv"
         path = tmp_path / "traj.txt"
         path.write_text(
-            "scenario = run\nT = 1\nt_kicks = 0.25, 0.5, 0.71\ng_list = 0, -0.0, pi/3, pi\n"
-            f"resolution = 40\nout = {out}\n"
+            f"scenario = run\n{energies}T = 1\nt_kicks = {kick_times}\n"
+            f"g_list = 0, -0.0, pi/3, pi\nresolution = 40\nout = {out}\n"
         )
         assert cli.main([str(path)]) == 0
         config = cli.parse_config(path.read_text())
@@ -337,6 +345,22 @@ class TestCsvFormat:
         # One formatted t column serves every strength of the run.
         t_bits = trajectories[0].t.view(np.int64)
         assert all(np.array_equal(traj.t.view(np.int64), t_bits) for traj in trajectories)
+
+    def test_the_strengths_of_a_run_share_one_sample_layout(self, tmp_path, monkeypatch):
+        layouts = []
+
+        def counted(schedules, params):
+            layouts.append(schedules)
+            return core._sample_layout(schedules, params)
+
+        monkeypatch.setattr(cli, "_sample_layout", counted)
+        config = cli.parse_config(
+            "scenario = run\nT = 1\nt_kicks = 0.25, 0.71\ng_list = 0.3, pi/2, pi\n"
+            f"resolution = 40\nout = {tmp_path / 'traj.csv'}\n"
+        )
+        assert cli.cmd_run(config) == 0
+        assert len(layouts) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"traj_g{i}.csv" for i in range(3)]
 
 
 class TestOracleCheck:
@@ -465,10 +489,13 @@ class TestOracleCheck:
         [
             # each refused while the file is parsed
             ("N_list = -1..2\nT = 1", "<file>:3: kick counts must be >= 0, got -1"),
-            ("N_list = 2\nT = 0", "<file>: total_time must be positive, got 0.0"),
-            ("N_list = 2\nT = -1", "<file>: total_time must be positive, got -1.0"),
+            ("N_list = 2\nT = 0", "<file>: scenario 'oracle-check' needs T > 0, got T = 0"),
+            ("N_list = 2\nT = -1", "<file>: scenario 'oracle-check' needs T > 0, got T = -1"),
             ("N_list = 2", "<file>: scenario 'oracle-check' needs T"),
-            ("N_list = 11\nT = 1", "<file>: oracle check supports at most 10 kicks per schedule"),
+            (
+                "N_list = 11\nT = 1",
+                "<file>: scenario 'oracle-check' needs N_list <= 10, got N_list = 11",
+            ),
         ],
         ids=["negative-kick-count", "zero-T", "negative-T", "no-T", "eleven-kicks"],
     )

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import norm, populations, single_excitation_block
 from scipy.linalg import expm
 
@@ -41,6 +43,25 @@ def dense_exchange_matrix(n_probes, probe_index):
             j = (m_excited << 2) | (a_bit << 1) | 0
             gamma[i, j] = gamma[j, i] = 1.0
     return gamma
+
+
+@st.composite
+def sampled_schedules(draw):
+    """Up to 8 kicks over T in [0.2, 3] at 40 samples per unit time.
+
+    Kicks land at 0, at T, on grid points or anywhere in between, with
+    strengths that include 0, pi and -0.0.
+    """
+    total_time = draw(st.floats(0.2, 3.0))
+    grid = KickSchedule((), total_time, 40.0).sample_grid().tolist()
+    time = st.one_of(
+        st.sampled_from((0.0, total_time)), st.sampled_from(grid), st.floats(0.0, total_time)
+    )
+    strength = st.one_of(
+        st.sampled_from((0.0, math.pi, -0.0)), st.floats(-2 * math.pi, 2 * math.pi)
+    )
+    times = sorted(set(draw(st.lists(time, max_size=8))))
+    return KickSchedule(tuple((t, draw(strength)) for t in times), total_time, 40.0)
 
 
 class TestInitialState:
@@ -389,6 +410,18 @@ class TestRunSchedule:
             for attr in ("p10", "p01", "pvac"):
                 dev = np.max(np.abs(getattr(dense, attr) - getattr(reduced, attr)))
                 assert dev <= 1e-10
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        st.builds(SystemParams, st.floats(0.2, 3.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        sampled_schedules(),
+    )
+    def test_matches_reduced_engine_on_drawn_runs(self, params, schedule):
+        dense = oracle.run_schedule(schedule, params)
+        reduced = engine.run_schedule(schedule, params)
+        np.testing.assert_array_equal(dense.t, reduced.t)
+        for attr in ("p10", "p01", "pvac"):
+            assert np.max(np.abs(getattr(dense, attr) - getattr(reduced, attr))) <= 1e-10
 
 
 class TestLivePrefix:
