@@ -56,14 +56,11 @@ from .analytics import (
 from .core import (
     MAX_SAMPLES,
     KickSchedule,
-    OffResonanceError,
     SystemParams,
     Trajectory,
     _check_free_step,
-    _check_samples,
     _count,
     _real,
-    _sample_layout,
 )
 
 __all__ = [
@@ -550,17 +547,13 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
         outputs.append((path, g))
     # Every run finishes before the first write, so a refused run leaves no
     # files; then one CSV text at a time is formatted and written.
-    params, layout, trajectories = config.params(), None, []
-    for _, g in outputs:
-        kicks = [(t, g) for t in config.kick_times]
-        schedule = _schedule(kicks, config.total_time, config.resolution)
-        # The layout (sample times, anchors, sample blocks) comes from the
-        # kick times and the grid, never from g: every strength shares it.
-        layout = layout or _sample_layout([schedule], params)
-        trajectories.append(Trajectory(*engine._run_batch([schedule], params, layout)))
-    del layout  # its blocks, 64 bytes a sample, would sit beside the CSV texts
-    # So several files also share one formatted t column; a single file
-    # formats its own a block at a time, which holds less memory.
+    schedules = [
+        _schedule([(t, g) for t in config.kick_times], config.total_time, config.resolution)
+        for g in config.g_list
+    ]
+    trajectories = engine._run_strengths(schedules, config.params())
+    # Several files share one formatted t column; a single file formats its
+    # own a block at a time, which holds less memory.
     t_texts = _texts(trajectories[0].t) if len(trajectories) > 1 else None
     for (path, g), traj in zip(outputs, trajectories):
         _write(path, trajectory_csv(traj, t_texts), f" (g={_fmt(g)})")
@@ -600,11 +593,8 @@ def oracle_engine_deviation(config: ScenarioConfig) -> float:
     scenario raises ValueError.  Kick times are redrawn until they are
     distinct; a ValueError is raised if ``_KICK_TIME_DRAWS`` draws never give
     distinct times.  Every trial is drawn before any is run, in that order,
-    so a seed gives the same trials however they are run.  They run in the
-    batches of ``oracle._batches``, one batch at a time, and each path's
-    samples get the guard of a ``Trajectory``.  The largest deviation does
-    not depend on the batching, and a NaN deviation is kept, so that it reads
-    as FAIL.
+    so a seed gives the same trials however they are run;
+    ``oracle._max_deviation`` runs and compares them.
 
     The trials come from the standard library's ``random.Random(seed)``, not
     from numpy's generator.  ``random`` is already loaded by ``import numpy``,
@@ -616,7 +606,7 @@ def oracle_engine_deviation(config: ScenarioConfig) -> float:
     """
     if config.scenario != "oracle-check":
         raise ValueError(f"the check needs scenario 'oracle-check', got {config.scenario!r}")
-    total_time, params = config.total_time, config.params()
+    total_time = config.total_time
     rng = random.Random(config.seed)
     schedules = []
     for _ in range(config.trials):
@@ -629,19 +619,7 @@ def oracle_engine_deviation(config: ScenarioConfig) -> float:
             raise ValueError(f"could not draw {n} distinct kick times in [0, {total_time:g}]")
         strengths = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
         schedules.append(_schedule(zip(times, strengths), total_time, config.resolution))
-    worst = 0.0
-    for batch in oracle._batches(schedules):
-        members = [schedules[i] for i in batch]
-        layout = _sample_layout(members, params)
-        offsets = layout[-1]
-        reduced = engine._run_batch(members, params, layout)
-        _check_samples(reduced, offsets)
-        dense = oracle._run_batch(members, params, layout)
-        _check_samples(dense, offsets)
-        for observable in (1, 2, 3):  # p10, p01, pvac
-            dev = np.max(np.abs(reduced[observable] - dense[observable]))
-            worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
-    return float(worst)
+    return oracle._max_deviation(schedules, config.params())
 
 
 def cmd_oracle_check(config: ScenarioConfig, gnuplot: bool = False) -> int:
@@ -767,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return COMMANDS[config.scenario](config, args.gnuplot)
-    except (ValueError, OffResonanceError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

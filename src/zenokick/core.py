@@ -53,11 +53,11 @@ MAX_SAMPLES = 10**6
 MAX_COUNT = 2**63 - 1
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Requested problem size exceeds what this simulator supports."""
 
 
-class OffResonanceError(Exception):
+class OffResonanceError(ValueError):
     """A resonance-only closed form was asked for detuned qubits."""
 
 

@@ -4,11 +4,12 @@ A sampled run folds the closed-form free propagator and the kick update, kick
 by kick, over plain Python scalars, and keeps the state right after each kick
 as an anchor; leaked weight never re-enters the dynamics, so two complex
 amplitudes and one real accumulator are the entire state.  Every sample is
-then propagated from its anchor in one numpy pass, for a whole batch of runs
-at once on their shared ``core._sample_layout``.  Equally spaced runs skip
-the fold: one kick period is a fixed 2x2 map, and ``sweep`` raises the map of
-every (g, n) cell to its power n by binary doubling, a chunk of cells at
-once, in O(log n) numpy steps, and returns the cells as one record array.
+then propagated from its anchor in one numpy pass, for a batch of runs at once
+on one ``core._sample_layout``, which the strengths of a ``run`` share.
+Equally spaced runs skip the fold: one kick period is a fixed 2x2 map, and
+``sweep`` raises the map of every (g, n) cell to its power n by binary
+doubling, a chunk of cells at once, in O(log n) numpy steps, and returns the
+cells as one record array.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:
     """
     batch = [schedule]
     return Trajectory(*_run_batch(batch, params, _sample_layout(batch, params)))
+
+
+def _run_strengths(schedules: list[KickSchedule], params: SystemParams) -> list[Trajectory]:
+    """``run_schedule`` of schedules that differ only in g, on the first one's layout.
+
+    No layout depends on g; this one is freed when the runs return.
+    """
+    layout = _sample_layout(schedules[:1], params)
+    return [Trajectory(*_run_batch([schedule], params, layout)) for schedule in schedules]
 
 
 def _run_batch(

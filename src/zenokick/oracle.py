@@ -35,14 +35,14 @@ rows as a scalar would.  Every product therefore runs along one row of one
 trial, with the same operands and in the same numpy loop as a run of that
 trial alone, and a trial's bits do not depend on the other trials.
 
-``_run_batch`` steps one batch of ``_batches``; ``run_schedule`` is a
-batch of one.  Each batch allocates one zeroed working array and one
-scratch buffer of ``phi.size // 4`` slots, all that the free step and the
-anchor read use; its kicks need none.  The public ``free_step`` runs its
-kernel on a copy, as a ``(4, 2**n)`` view with scalar constants: the
-kernels index from the last axis (``phi[..., s, :]``).  The public ``kick``
-rotates a copy's ``_kick_pairs`` views as ``cos g * x - (i sin g) * y``
-and its mirror, out of place.
+``_run_batch`` steps one batch: ``run_schedule`` a batch of one,
+``_max_deviation`` (the check against ``engine``) batches of bounded size.
+Each batch allocates one zeroed working array and one scratch buffer of
+``phi.size // 4`` slots, all that the free step and the anchor read use; its
+kicks need none.  The public ``free_step`` runs its kernel on a copy, as a
+``(4, 2**n)`` view with scalar constants: the kernels index from the last axis
+(``phi[..., s, :]``).  The public ``kick`` rotates a copy's ``_kick_pairs``
+views as ``cos g * x - (i sin g) * y`` and its mirror, out of place.
 
 Sampling a run
 --------------
@@ -93,10 +93,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
+from . import engine
 from .core import (
     CapacityError,
     KickSchedule,
@@ -104,6 +104,7 @@ from .core import (
     Trajectory,
     _block_entries,
     _check_free_step,
+    _check_samples,
     _real,
     _sample_layout,
 )
@@ -118,7 +119,7 @@ __all__ = [
 ]
 
 MAX_PROBES = 20
-#: amplitudes one batch of ``_batches`` may hold (16 MiB)
+#: amplitudes one batch of ``_max_deviation`` may hold (16 MiB)
 BATCH_AMPLITUDES = 2**20
 
 
@@ -256,7 +257,7 @@ def kick(state: FullState, probe_index: int, g: float) -> FullState:
 def _run_batch(
     schedules: list[KickSchedule], params: SystemParams, layout
 ) -> tuple[np.ndarray, ...]:
-    """Full-space runs of one batch of ``_batches``, sampled on its ``core._sample_layout``.
+    """Full-space runs of a batch of schedules, sampled on its ``core._sample_layout``.
 
     Returns the batch's flat columns ``(t, p10, p01, pvac, norm)`` as
     ``engine._run_batch`` does.  It refuses more than ``MAX_PROBES`` kicks
@@ -308,21 +309,32 @@ def _run_batch(
     return t, p10, p01, p00, p10 + p01 + p00 + p11
 
 
-def _batches(schedules: list[KickSchedule]) -> Iterator[list[int]]:
-    """Positions of the schedules, grouped into the batches ``_run_batch`` steps together.
+def _max_deviation(schedules: list[KickSchedule], params: SystemParams) -> float:
+    """Largest |P10|, |P01| or |Pvac| gap of the reduced and dense runs; 0.0 for no schedules.
 
-    A batch shares one kick count and one sample grid, and holds at most
-    ``BATCH_AMPLITUDES`` amplitudes, but never fewer than one trial, so a
-    caller that runs one batch at a time holds one bounded working array.
+    Schedules of one kick count and sample grid run in batches of at most
+    ``BATCH_AMPLITUDES`` amplitudes (at least one trial), each laid out once
+    and run by both paths under the guard of a ``Trajectory``.  The result
+    does not depend on the batching, and a NaN is kept, so it reads as FAIL.
     """
-    groups: dict[tuple, list[int]] = {}
-    for position, schedule in enumerate(schedules):
+    groups: dict[tuple, list[KickSchedule]] = {}
+    for schedule in schedules:
         key = (len(schedule.kicks), schedule.total_time, schedule.sample_resolution)
-        groups.setdefault(key, []).append(position)
+        groups.setdefault(key, []).append(schedule)
+    worst = 0.0
     for (n, *_), members in groups.items():
         per_batch = max(1, BATCH_AMPLITUDES // (4 * 2**n))
         for lo in range(0, len(members), per_batch):
-            yield members[lo : lo + per_batch]
+            batch = members[lo : lo + per_batch]
+            layout = _sample_layout(batch, params)
+            reduced = engine._run_batch(batch, params, layout)
+            _check_samples(reduced, layout[-1])
+            dense = _run_batch(batch, params, layout)
+            _check_samples(dense, layout[-1])
+            for observable in (1, 2, 3):  # p10, p01, pvac
+                dev = np.max(np.abs(reduced[observable] - dense[observable]))
+                worst = np.maximum(worst, dev)  # unlike max(), keeps a NaN
+    return float(worst)
 
 
 def run_schedule(schedule: KickSchedule, params: SystemParams) -> Trajectory:

@@ -284,6 +284,27 @@ def test_no_command_raises():
     assert raising == []
 
 
+#: The internals of the two paths, which only ``engine`` and ``oracle`` drive
+PATH_INTERNALS = {"_sample_layout", "_run_batch", "_batches", "_check_samples"}
+
+
+def test_the_cli_drives_no_path_internals():
+    # The CLI parses, dispatches and writes: laying out samples, stepping a
+    # batch and guarding it belong to the module whose path they step.
+    tree = ast.parse((SOURCES / "cli.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert sorted(named & PATH_INTERNALS) == []
+
+
+def test_every_refusal_is_a_value_error():
+    # So a caller, and ``cli.main``, catch one exception type for a refused input.
+    assert issubclass(zenokick.CapacityError, ValueError)
+    assert issubclass(zenokick.OffResonanceError, ValueError)
+
+
 #: The functions that may call ``math.isfinite``: ``core._real``, the one reader of
 #: real inputs, and the checks of values derived from read ones (the angles of a free
 #: step, the sum and difference of the energies, ``resolution / T``, a literal in a

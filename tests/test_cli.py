@@ -353,7 +353,7 @@ class TestCsvFormat:
             layouts.append(schedules)
             return core._sample_layout(schedules, params)
 
-        monkeypatch.setattr(cli, "_sample_layout", counted)
+        monkeypatch.setattr(engine, "_sample_layout", counted)
         config = cli.parse_config(
             "scenario = run\nT = 1\nt_kicks = 0.25, 0.71\ng_list = 0.3, pi/2, pi\n"
             f"resolution = 40\nout = {tmp_path / 'traj.csv'}\n"
@@ -543,16 +543,16 @@ class TestOracleCheck:
 
     @staticmethod
     def capture_the_drawn_trials(monkeypatch):
-        """The schedules the check hands to ``oracle._batches``, filled in when it runs."""
+        """The schedules the check hands to ``oracle._max_deviation``, filled in when it runs."""
         drawn = []
-        batches = oracle._batches
+        max_deviation = oracle._max_deviation
 
-        def capture(schedules):
-            assert not drawn, "the check groups its trials once"
+        def capture(schedules, params):
+            assert not drawn, "the check compares its trials in one call"
             drawn.extend(schedules)
-            return batches(schedules)
+            return max_deviation(schedules, params)
 
-        monkeypatch.setattr(oracle, "_batches", capture)
+        monkeypatch.setattr(oracle, "_max_deviation", capture)
         return drawn
 
     @pytest.mark.parametrize("seed", [5, 77])

@@ -477,14 +477,20 @@ class TestLivePrefix:
 
 
 def run_batches(schedules, params):
-    """Each schedule's columns ``(t, p10, p01, pvac, norm)``, run as the oracle check runs them.
+    """Each schedule's columns ``(t, p10, p01, pvac, norm)``, run in batches as the check runs them.
 
-    ``oracle._batches`` groups the schedules, each batch gets one
-    ``_sample_layout``, and ``oracle._run_batch`` steps it; trial r's columns
-    are the batch's columns at ``offsets[r]:offsets[r + 1]``.
+    The schedules are grouped by kick count and sample grid, each group is
+    one batch with one ``_sample_layout``, and ``oracle._run_batch`` steps
+    it; trial r's columns are the batch's columns at
+    ``offsets[r]:offsets[r + 1]``.  A trial's bits do not depend on the
+    batch it runs in, so any grouping that ``_sample_layout`` accepts would do.
     """
+    groups = {}
+    for i, schedule in enumerate(schedules):
+        key = (len(schedule.kicks), schedule.total_time, schedule.sample_resolution)
+        groups.setdefault(key, []).append(i)
     runs = [None] * len(schedules)
-    for batch in oracle._batches(schedules):
+    for batch in groups.values():
         members = [schedules[i] for i in batch]
         layout = _sample_layout(members, params)
         columns = oracle._run_batch(members, params, layout)
@@ -534,7 +540,7 @@ class TestRunSchedules:
             alone = oracle.run_schedule(schedule, params)
             assert [column.tobytes() for column in columns] == trajectory_bytes(alone)
 
-    def test_a_group_larger_than_one_batch(self):
+    def test_a_group_larger_than_one_batch(self, monkeypatch):
         # 17 probes are 2**19 amplitudes a trial: three trials make a batch of
         # two and one of one.
         n = 17
@@ -546,10 +552,22 @@ class TestRunSchedules:
             gs = rng.uniform(0.0, math.pi, n)
             schedules.append(KickSchedule(tuple(zip(times, gs)), 1.0, 20.0))
         schedules.insert(1, KickSchedule(((0.5, 1.0),), 1.0, 20.0))
-        assert list(oracle._batches(schedules)) == [[0, 2], [3], [1]]
-        for schedule, columns in zip(schedules, run_batches(schedules, DETUNED), strict=True):
-            alone = oracle.run_schedule(schedule, DETUNED)
-            assert [column.tobytes() for column in columns] == trajectory_bytes(alone)
+        run_batch, batches = oracle._run_batch, []
+
+        def recorded(members, params, layout):
+            columns = run_batch(members, params, layout)
+            batches.append((members, columns, layout[-1]))
+            return columns
+
+        monkeypatch.setattr(oracle, "_run_batch", recorded)
+        assert oracle._max_deviation(schedules, DETUNED) <= 1e-10
+        monkeypatch.undo()  # the runs alone below step unrecorded
+        expected = [[schedules[0], schedules[2]], [schedules[3]], [schedules[1]]]
+        assert [members for members, _, _ in batches] == expected
+        for members, columns, offsets in batches:
+            for schedule, lo, hi in zip(members, offsets, offsets[1:]):
+                alone = oracle.run_schedule(schedule, DETUNED)
+                assert [column[lo:hi].tobytes() for column in columns] == trajectory_bytes(alone)
 
     def test_no_schedules(self):
-        assert list(oracle._batches([])) == []
+        assert oracle._max_deviation([], RESONANT) == 0.0
