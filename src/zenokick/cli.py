@@ -26,7 +26,12 @@ distinct value once and passes the texts: the sample times, shared by every
 strength of a ``run``, and its ``pvac`` and ``norm``, which change only at
 kicks; a sweep's ``g`` and ``N``.  Values are told apart by their bits, so
 ``-0.0`` and ``0.0`` keep their own texts, and the bytes are those of
-formatting every value on its own.
+formatting every value on its own.  In a table of ``_CSV_PIECES_ROWS`` rows
+or more, a block of a float column whose values lie mostly in [1e-4, 1), as
+probabilities do, is passed in pieces that ``%s`` prints: the head ``0.``
+with its zeros, and the 17 significant digits as an integer, computed
+exactly in numpy by ``_float_pieces``.  Python formats the rest, and the
+bytes stay those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -446,12 +451,80 @@ def _fmt(x: float) -> str:
 #: Rows formatted at a time.  A block's values are freed before the next
 #: block is formatted, so a table peaks at about twice its text.
 _CSV_BLOCK = 1 << 13
+#: Rows from which a table may take its ``%.17g`` columns from ``_float_pieces``.
+#: Below it the kernel's fixed cost per call outweighs what it saves.
+_CSV_PIECES_ROWS = 1024
+#: Share of a block's values that must lie in [1e-4, 1) for ``_csv`` to take
+#: the column from ``_float_pieces``.  The kernel adds more to a value that
+#: Python formats than it saves on one in that range: on blocks that mix the
+#: two at random it breaks even at a share of about 0.6.
+_CSV_PIECES_SHARE = 2 / 3
 
 
 def _texts(values: np.ndarray) -> list[str]:
     """Each value of a column, formatted: integers with ``%d``, floats with ``%.17g``."""
     fmt = "%d" if values.dtype.kind in "iu" else "%.17g"
     return list(map(fmt.__mod__, values.tolist()))
+
+
+def _halves(a):
+    """Dekker's split: ``a = hi + lo``, each with at most 26 significant bits."""
+    t = (2.0**27 + 1) * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# Slot s = ``_DECADES.searchsorted(x, "right")`` in 1..4 holds the x of
+# decimal exponent X = s - 5: each of these doubles lies just above its power
+# of ten, so x >= 10**X exactly when x >= the double.  ``'%.17g'`` writes such
+# an x as its head, "0." and -X-1 zeros, then the 17 digits of
+# x * 10**(16 - X).  Slots 0 and 5 hold every other x.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_HEADS = np.array(["", "0.000", "0.00", "0.0", "0.", ""], dtype=object)
+_SCALES = np.array([1.0, 1e20, 1e19, 1e18, 1e17, 1.0])
+_SCALES_HI, _SCALES_LO = _halves(_SCALES)
+
+
+def _float_pieces(values: np.ndarray) -> tuple[list, list]:
+    """``'%.17g' % x`` of each float x of ``values`` as ``heads[i]``, then ``tails[i]``.
+
+    Both are printed by ``%s``.  For 1e-4 <= x < 1 the head is "0." and its
+    zeros, and the tail is the integer of the 17 significant digits without
+    their trailing zeros.  The digits are exact: 10**17..10**20 are doubles,
+    so Dekker's two-product gives x * 10**(16 - X) = p + e exactly, p an
+    integer, and the digits are p plus e rounded.  No rounding carries to 18
+    digits: the double below each power of ten lies more than 8 units of its
+    17th digit under it.  Every other x, and an e that ends in exactly one
+    half, fall back to a head of ``'%.17g' % x`` and a tail of ``""``, so the
+    text is that of ``'%.17g'`` for every value.
+    """
+    slot = _DECADES.searchsorted(values, side="right")
+    fixed = (slot > 0) & (slot < len(_DECADES))
+    x = np.where(fixed, values, 0.5)  # keeps the arithmetic finite
+    p = x * _SCALES[slot]
+    x_hi, x_lo = _halves(x)
+    s_hi, s_lo = _SCALES_HI[slot], _SCALES_LO[slot]
+    e = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    whole = np.floor(e)
+    frac = e - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    fixed &= frac != 0.5
+    for step in (10**8, 10**4, 10**2, 10, 10):  # strips up to 16 trailing zeros
+        quotient = digits // step
+        digits = np.where(quotient * step == digits, quotient, digits)
+    heads, tails = _HEADS[slot], digits.astype(object)
+    rest = np.flatnonzero(~fixed)
+    heads[rest] = np.array(_texts(values[rest]), dtype=object)
+    tails[rest] = ""
+    return heads.tolist(), tails.tolist()
+
+
+def _pieces_pay(values: np.ndarray, rows: int) -> bool:
+    """Whether ``_float_pieces`` beats ``%.17g`` on ``values``, a block of a ``rows``-row table."""
+    if rows < _CSV_PIECES_ROWS:
+        return False
+    fixed = np.count_nonzero((values >= _DECADES[0]) & (values < 1.0))
+    return fixed >= _CSV_PIECES_SHARE * len(values)
 
 
 def _repeated_texts(values: np.ndarray) -> list[str]:
@@ -465,34 +538,47 @@ def _repeated_texts(values: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _csv(header: str, columns: list[tuple[str, Sequence]]) -> str:
+def _csv(header: str, columns: list[tuple]) -> str:
     """CSV text: the header, then one line per row of ``columns``.
 
-    Each column is ``(fmt, values)``: ``"%s"`` for values that are texts
-    already, else the format of every value.  A block of rows is one ``%``
+    Each column is a format and the sequences it takes, in order: ``("%s",
+    texts)`` for values that are texts already, ``("%s%s", heads, tails)``
+    for texts in pieces, else ``(fmt, values)`` with the format of every
+    value.  Where ``_pieces_pay`` says so, a block of a ``"%.17g"`` column
+    is taken from ``_float_pieces`` instead.  A block of rows is one ``%``
     call on the line format repeated, so no text is made per value or row.
     """
-    width, rows = len(columns), len(columns[0][1])
-    line = ",".join(fmt for fmt, _ in columns) + "\n"
+    rows = len(columns[0][1])
     blocks = [header + "\n"]
     for lo in range(0, rows, _CSV_BLOCK):
         hi = min(rows, lo + _CSV_BLOCK)
+        fmts, parts = [], []
+        for fmt, *sequences in columns:
+            sequences = [sequence[lo:hi] for sequence in sequences]
+            if fmt == "%.17g":
+                values = np.asarray(sequences[0], dtype=np.float64)
+                if _pieces_pay(values, rows):
+                    fmt, sequences = "%s%s", _float_pieces(values)
+            fmts.append(fmt)
+            parts += sequences
+        width = len(parts)
         flat = [None] * (width * (hi - lo))
-        for j, (_, values) in enumerate(columns):
-            part = values[lo:hi]
+        for j, part in enumerate(parts):
             flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        blocks.append(line * (hi - lo) % tuple(flat))
+        blocks.append((",".join(fmts) + "\n") * (hi - lo) % tuple(flat))
     return "".join(blocks)
 
 
-def trajectory_csv(traj: Trajectory, t_texts: list[str] | None = None) -> str:
+def trajectory_csv(traj: Trajectory, t_pieces: tuple[Sequence, ...] | None = None) -> str:
     """One ``t,p10,p01,pvac,norm`` line per sample.
 
-    ``t_texts`` is ``traj.t`` already formatted, for a caller writing several
-    trajectories on one sample grid.
+    ``t_pieces`` is ``traj.t`` already formatted, for a caller writing several
+    trajectories on one sample grid: sequences whose items, printed by ``%s``
+    one after another, give each time's text, such as ``(texts,)`` or the
+    ``(heads, tails)`` of ``_float_pieces``.
     """
     columns = [
-        ("%.17g", traj.t) if t_texts is None else ("%s", t_texts),
+        ("%.17g", traj.t) if t_pieces is None else ("%s" * len(t_pieces), *t_pieces),
         ("%.17g", traj.p10),
         ("%.17g", traj.p01),
         ("%s", _repeated_texts(traj.pvac)),
@@ -552,11 +638,14 @@ def cmd_run(config: ScenarioConfig, gnuplot: bool = False) -> int:
         for g in config.g_list
     ]
     trajectories = engine._run_strengths(schedules, config.params())
-    # Several files share one formatted t column; a single file formats its
-    # own a block at a time, which holds less memory.
-    t_texts = _texts(trajectories[0].t) if len(trajectories) > 1 else None
+    # Several files share one formatted t column, in pieces where ``_csv``
+    # would take them; a single file formats its own a block at a time, which
+    # holds less memory.
+    t, t_pieces = trajectories[0].t, None
+    if len(trajectories) > 1:
+        t_pieces = _float_pieces(t) if _pieces_pay(t, len(t)) else (_texts(t),)
     for (path, g), traj in zip(outputs, trajectories):
-        _write(path, trajectory_csv(traj, t_texts), f" (g={_fmt(g)})")
+        _write(path, trajectory_csv(traj, t_pieces), f" (g={_fmt(g)})")
     if gnuplot:
         clauses = [
             f"'{path.name}' every ::1 using 1:2 with lines title 'g={_fmt(g)}'"

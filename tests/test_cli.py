@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenokick
 from zenokick import cli, core, engine, oracle
@@ -267,10 +269,76 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+def piece_texts(values):
+    """``cli._float_pieces`` of ``values``, joined as ``_csv`` prints them."""
+    heads, tails = cli._float_pieces(np.array(values, dtype=np.float64))
+    return ["%s%s" % piece for piece in zip(heads, tails)]
+
+
+def _named_edges():
+    """(id, x, whether the digits come from the kernel rather than Python)."""
+    for k in range(1, 6):
+        x = 10.0**-k
+        for name, y in (("", x), ("-ulp", math.nextafter(x, 0)), ("+ulp", math.nextafter(x, 1))):
+            yield f"1e-{k}{name}", y, 1e-4 <= y < 1
+    yield "one-minus-half-ulp", 1 - 2**-53, True
+    yield "tie-211*2**-21", 211 * 2**-21, False  # x * 10**20 ends in exactly .5
+    yield "zero", 0.0, False
+    yield "minus-zero", -0.0, False
+    yield "subnormal", 5e-324, False
+    yield "negative", -1e-13, False
+
+
+class TestFloatPieces:
+    @pytest.mark.parametrize("x, fast", [edge[1:] for edge in _named_edges()],
+                             ids=[edge[0] for edge in _named_edges()])
+    def test_named_edges_match_percent_17g(self, x, fast):
+        assert piece_texts([x]) == ["%.17g" % x]
+        _, tails = cli._float_pieces(np.array([x]))
+        assert isinstance(tails[0], int) == fast
+
+    def test_seeded_near_ties_match_percent_17g(self):
+        # Dyadics j * 2**-22 hold exact ties of the 17th digit; decimals of
+        # 18 digits ending in 5 lie within an ulp of one.
+        rng = np.random.default_rng(29)
+        values = np.concatenate([
+            rng.integers(1, 2**22, 20000) * 2.0**-22,
+            [float(f"0.{d}5") for d in rng.integers(10**15, 10**16, 20000).tolist()],
+            rng.random(20000) ** 6,
+            np.mod(rng.integers(0, 2**62, 20000).view(np.float64), 1.0),
+        ])
+        assert piece_texts(values) == ["%.17g" % x for x in values.tolist()]
+
+    def test_each_decade_bound_is_the_first_double_at_its_power_of_ten(self):
+        for bound, k in zip(cli._DECADES.tolist(), (4, 3, 2, 1, 0)):
+            num, den = bound.as_integer_ratio()
+            below_num, below_den = math.nextafter(bound, 0.0).as_integer_ratio()
+            assert num * 10**k >= den  # bound >= 10**-k
+            assert below_num * 10**k < below_den  # the double below it is under 10**-k
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_any_finite_floats_match_percent_17g(self, values):
+        assert piece_texts(values) == ["%.17g" % x for x in values]
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), max_size=40))
+    def test_floats_in_the_fixed_range_match_percent_17g(self, values):
+        assert piece_texts(values) == ["%.17g" % x for x in values]
+
+
 class TestCsvFormat:
     # -0.0 sits next to 0.0: a column that formats each distinct value once
     # must still tell them apart.
     EDGES = (-1e-13, 0.0, -0.0, 5e-324, 1 - 2**-53, 1.0)
+    #: (``_CSV_PIECES_ROWS``, ``_CSV_PIECES_SHARE``): every float column in
+    #: pieces, and the defaults, under which these short tables keep ``%.17g``
+    PIECES = ((0, 0.0), (cli._CSV_PIECES_ROWS, cli._CSV_PIECES_SHARE))
+
+    @staticmethod
+    def pieces(monkeypatch, rows, share):
+        monkeypatch.setattr(cli, "_CSV_PIECES_ROWS", rows)
+        monkeypatch.setattr(cli, "_CSV_PIECES_SHARE", share)
 
     @staticmethod
     def fstring_csv(header, columns):
@@ -286,10 +354,13 @@ class TestCsvFormat:
         traj = Trajectory(*columns)
         want = self.fstring_csv("t,p10,p01,pvac,norm", columns)
         t_texts = [f"{x:.17g}" for x in column]
-        for block in (cli._CSV_BLOCK, 4):
-            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-            assert cli.trajectory_csv(traj) == want
-            assert cli.trajectory_csv(traj, t_texts) == want
+        for setting in self.PIECES:
+            self.pieces(monkeypatch, *setting)
+            for block in (cli._CSV_BLOCK, 4):
+                monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+                assert cli.trajectory_csv(traj) == want
+                assert cli.trajectory_csv(traj, (t_texts,)) == want
+                assert cli.trajectory_csv(traj, cli._float_pieces(column)) == want
 
     def test_sweep_floats_match_fstring_formatting(self, monkeypatch):
         column = np.repeat(self.EDGES, 2)
@@ -301,19 +372,40 @@ class TestCsvFormat:
             f"{g:.17g},{k},{x:.17g},{x:.17g},{x:.17g}" for g, k, x in zip(column[::-1], n, column)
         ]
         want = "\n".join(["g,N,p10,p01,pvac", *rows]) + "\n"
-        for block in (cli._CSV_BLOCK, 4):
-            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-            assert cli.sweep_csv(table) == want
+        for setting in self.PIECES:
+            self.pieces(monkeypatch, *setting)
+            for block in (cli._CSV_BLOCK, 4):
+                monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+                assert cli.sweep_csv(table) == want
 
     def test_rates_rows_match_fstring_formatting(self, tmp_path, monkeypatch, capsys):
         # A string column beside float columns, -0.0 among the floats.
         rows = [(check, x, x, -x, 0.0) for check in cli.RATE_TOLERANCES for x in self.EDGES]
         monkeypatch.setattr(cli, "rate_comparison_rows", lambda params: rows)
         out = tmp_path / "rates.csv"
-        assert cli.cmd_rates(cli.parse_config(f"scenario = rates\nout = {out}\n")) == 0
         lines = [f"{c},{x:.17g},{a:.17g},{b:.17g},{e:.17g}" for c, x, a, b, e in rows]
         header = "check,t_or_N,analytic,numeric,abs_error"
-        assert out.read_text() == "\n".join([header, *lines]) + "\n"
+        for setting in self.PIECES:
+            self.pieces(monkeypatch, *setting)
+            assert cli.cmd_rates(cli.parse_config(f"scenario = rates\nout = {out}\n")) == 0
+            assert out.read_text() == "\n".join([header, *lines]) + "\n"
+
+    def test_long_blocks_mostly_in_the_kernels_range_take_its_pieces(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return kernel(values)
+
+        kernel = cli._float_pieces
+        monkeypatch.setattr(cli, "_float_pieces", counted)
+        for rows in (cli._CSV_PIECES_ROWS - 1, cli._CSV_PIECES_ROWS):
+            inside = np.linspace(0.1, 0.9, rows)
+            columns = (inside, inside + 1.0)  # in [1e-4, 1), and outside it
+            want = self.fstring_csv("a,b", columns)
+            calls.clear()
+            assert cli._csv("a,b", [("%.17g", column) for column in columns]) == want
+            assert calls == ([rows] if rows >= cli._CSV_PIECES_ROWS else [])
 
     @pytest.mark.parametrize(
         "energies, kick_times",
@@ -321,27 +413,30 @@ class TestCsvFormat:
         ids=["resonant", "detuned-kicks-at-both-ends"],
     )
     def test_run_files_match_fstring_formatting_of_the_engine(
-        self, energies, kick_times, tmp_path, capsys
+        self, energies, kick_times, tmp_path, monkeypatch, capsys
     ):
         # Kicks at 0, 0.25, 0.5 and T = 1 fall on grid points; the strengths
         # include -0.0 and a mirror kick.  The strengths of the run share one
-        # sample layout, and each file must still be its strength run alone.
+        # sample layout and one formatted t column, and each file must still
+        # be its strength run alone.
         out = tmp_path / "traj.csv"
         path = tmp_path / "traj.txt"
         path.write_text(
             f"scenario = run\n{energies}T = 1\nt_kicks = {kick_times}\n"
             f"g_list = 0, -0.0, pi/3, pi\nresolution = 40\nout = {out}\n"
         )
-        assert cli.main([str(path)]) == 0
         config = cli.parse_config(path.read_text())
         trajectories = []
         for i, g in enumerate(config.g_list):
             schedule = KickSchedule(tuple((t, g) for t in config.kick_times), 1.0, 40.0)
-            traj = engine.run_schedule(schedule, config.params())
-            columns = (traj.t, traj.p10, traj.p01, traj.pvac, traj.norm)
-            written = (tmp_path / f"traj_g{i}.csv").read_text()
-            assert written == self.fstring_csv("t,p10,p01,pvac,norm", columns)
-            trajectories.append(traj)
+            trajectories.append(engine.run_schedule(schedule, config.params()))
+        for setting in self.PIECES:
+            self.pieces(monkeypatch, *setting)
+            assert cli.main([str(path)]) == 0
+            for i, traj in enumerate(trajectories):
+                columns = (traj.t, traj.p10, traj.p01, traj.pvac, traj.norm)
+                written = (tmp_path / f"traj_g{i}.csv").read_text()
+                assert written == self.fstring_csv("t,p10,p01,pvac,norm", columns)
         # One formatted t column serves every strength of the run.
         t_bits = trajectories[0].t.view(np.int64)
         assert all(np.array_equal(traj.t.view(np.int64), t_bits) for traj in trajectories)
