@@ -11,10 +11,11 @@ many equally spaced kicks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Iterable
 
 from . import engine
-from .core import OffResonanceError, SystemParams, _count, _real
+from .core import OffResonanceError, SystemParams, _check_free_step, _count, _real
 
 __all__ = [
     "rate_free",
@@ -122,21 +123,24 @@ def survival_function(
 ) -> Callable[[float], float]:
     """P10 as a function of time for a fixed kick sequence.
 
-    Each evaluation runs the reduced path fresh, applying the kicks with time
-    <= t (ties included; P10 is continuous at kick instants so the boundary
-    choice is invisible): the fold and guard of ``engine.final_state``, on
-    plain scalars.  Repeated kick times mean back-to-back kicks.  A bad kick
-    value or a negative kick time raises ValueError here, not at the first
-    evaluation; an evaluation time is read as ``final_state``'s total_time.
+    The kicks are folded once, when the curve is built.  An evaluation at t
+    carries the latest anchor at or before t (ties included; P10 is
+    continuous at kick instants) to t, so it is bit for bit the P10 of
+    ``engine.final_state`` over the kicks with time <= t, with its guard.
+    Repeated kick times mean back-to-back kicks.  A bad kick value, or a
+    kick time that is negative or whose free step overflows, raises
+    ValueError here; an evaluation time is read as ``final_state``'s total_time.
     """
     p = params or SystemParams()
-    sequence = tuple(sorted(((_real(t), _real(g)) for t, g in kicks), key=lambda k: k[0]))
-    if sequence and sequence[0][0] < 0:
-        raise ValueError(f"kick times must be >= 0, got {sequence[0][0]}")
+    sequence = sorted(((_real(t), _real(g)) for t, g in kicks), key=lambda k: k[0])
+    for t, _ in sequence:  # no kick time is negative, and no step of the fold overflows
+        _check_free_step(t, p, "kick times")
+    anchors = list(engine._fold(sequence, math.inf, p))
+    times = [anchor[0] for anchor in anchors]
 
     def p10(t: float) -> float:
-        included = ((tm, g) for tm, g in sequence if tm <= t)  # lazy: ``_final`` reads t first
-        a, _, _ = engine._final(included, t, p)
+        _check_free_step(t, p, "total_time")
+        a, _, _ = engine._step_from(anchors[bisect_right(times, t) - 1], t, p)
         return a.real**2 + a.imag**2  # ``ReducedState.p10``
 
     return p10

@@ -327,7 +327,8 @@ def _check_scenario(config: ScenarioConfig) -> None:
     kick), exact unless a kick falls on a grid point; a sweep's cell count
     is strengths x kick counts, and the samples per unit time,
     ``resolution / T``, must stay finite.  The longest free step, ``T`` or
-    ``tau`` for an interval sweep, must pass ``core._check_free_step``.
+    ``tau`` for an interval sweep (times the largest N if g = 0), must pass
+    ``core._check_free_step``.
     ``rates`` refuses a coupling past ``RATES_MAX_COUPLING``, where the fixed
     finite-difference steps stop resolving the dynamics, and ``oracle-check``
     needs ``T > 0`` and at most ``ORACLE_CHECK_MAX_KICKS`` kicks per trial.
@@ -372,6 +373,8 @@ def _check_scenario(config: ScenarioConfig) -> None:
             )
     if step >= 0:  # a negative duration is refused here or where the scenario runs
         _check_free_step(step, config, step_name)
+        if step_name == "tau" and 0.0 in config.g_list:  # a kick-free cell runs for N tau
+            _check_free_step(step * max(config.n_list), config, "tau * N_list")
     if config.scenario == "oracle-check":
         if max(config.n_list) > ORACLE_CHECK_MAX_KICKS:
             raise ValueError(

@@ -1,15 +1,15 @@
 """Reduced simulation path: two amplitudes and one leak accumulator per run.
 
-A sampled run folds the closed-form free propagator and the kick update, kick
-by kick, over plain Python scalars, and keeps the state right after each kick
-as an anchor; leaked weight never re-enters the dynamics, so two complex
-amplitudes and one real accumulator are the entire state.  Every sample is
-then propagated from its anchor in one numpy pass, for a batch of runs at once
-on one ``core._sample_layout``, which the strengths of a ``run`` share.
-Equally spaced runs skip the fold: one kick period is a fixed 2x2 map, and
-``sweep`` raises the map of every (g, n) cell to its power n by binary
-doubling, a chunk of cells at once, in O(log n) numpy steps, and returns the
-cells as one record array.
+``_fold`` is the one fold of a kick schedule: kick by kick, on plain Python
+scalars, it applies the closed-form free propagator and the kick update and
+yields anchors, the initial state and the state right after each kick; leaked
+weight never re-enters the dynamics, so two complex amplitudes and one real
+accumulator are the entire state.  Every answer is one free step from an
+anchor: a batch of sampled runs takes all its samples in one numpy pass on
+one ``core._sample_layout``, while ``final_state`` and the survival curves of
+``analytics`` take one guarded ``_step_from``.  Equally spaced runs skip the
+fold: ``sweep`` raises the 2x2 map of one kick period of every (g, n) cell to
+its power n by binary doubling, a chunk of cells at once, in O(log n) steps.
 """
 
 from __future__ import annotations
@@ -50,13 +50,15 @@ _IDENTITY = np.eye(2, dtype=np.complex128)[:, :, None]
 def _fold(
     kicks: Iterable[tuple[float, float]], total_time: float, params: SystemParams
 ) -> Iterator[tuple[float, complex, complex, float]]:
-    """Yield (t, a, b, v) right after each kick, in order, on plain scalars.
+    """Yield (t, a, b, v) at t = 0, then right after each kick, in order, on plain scalars.
 
     Takes kick times as ``final_state`` does: non-decreasing, inside
-    [0, total_time]; a ValueError is raised otherwise.  The module-level
-    ``_free_step`` and ``_kick`` are looked up at every step.
+    [0, total_time], a ValueError otherwise; the caller has passed a time
+    at or past the last kick to ``core._check_free_step``.  The
+    module-level ``_free_step`` and ``_kick`` are looked up at every step.
     """
     now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
+    yield now, a, b, v
     for t, g in kicks:
         if not now <= t <= total_time:
             raise ValueError(f"kick time {t} outside [{now}, {total_time}]")
@@ -101,10 +103,7 @@ def _run_batch(
     here guards them: a caller wraps them in a ``Trajectory``, or hands the
     whole batch to ``core._check_samples``, which is the same guard.
     """
-    anchors = []
-    for schedule in schedules:
-        anchors.append((1.0 + 0.0j, 0.0j, 0.0))
-        anchors += (state for _, *state in _fold(schedule.kicks, schedule.total_time, params))
+    anchors = [state for s in schedules for _, *state in _fold(s.kicks, s.total_time, params)]
     a_anchor, b_anchor, v_anchor = (np.array(column) for column in zip(*anchors))
     t, anchor, u, _ = layout
     a0, b0 = a_anchor[anchor], b_anchor[anchor]
@@ -128,26 +127,22 @@ def final_state(
     with no free evolution in between.  The returned state passes the
     population and norm guard of a ``Trajectory``; a ValueError is raised
     otherwise.  Kick values and ``total_time`` are read as ``KickSchedule``
-    reads them.  This is ``_final``'s (a, b, v) as a ``ReducedState``.
-    """
-    kicks = ((_real(t), _real(g)) for t, g in kicks)
-    return ReducedState(*_final(kicks, total_time, params))
-
-
-def _final(
-    kicks: Iterable[tuple[float, float]], total_time: float, params: SystemParams
-) -> tuple[complex, complex, float]:
-    """``final_state`` as the plain scalars (a, b, v), guarded by ``core._check_state``.
-
-    Takes the same inputs and raises the same errors; a caller that wants
-    only a population skips building the frozen state.
+    reads them.  It is the last anchor of ``_fold`` carried by ``_step_from``.
     """
     _check_free_step(total_time, params, "total_time")  # no step of the fold is longer
-    now, a, b, v = 0.0, 1.0 + 0.0j, 0.0j, 0.0
-    for now, a, b, v in _fold(kicks, total_time, params):
+    for anchor in _fold(((_real(t), _real(g)) for t, g in kicks), total_time, params):
         pass
-    if total_time > now:
-        a, b = _free_step(a, b, total_time - now, params)
+    return ReducedState(*_step_from(anchor, total_time, params))
+
+
+def _step_from(anchor: tuple, t: float, params: SystemParams) -> tuple[complex, complex, float]:
+    """(a, b, v) at t >= t0, one free step from a ``_fold`` anchor (t0, a, b, v).
+
+    t has passed ``core._check_free_step``; ``core._check_state`` guards the result.
+    """
+    now, a, b, v = anchor
+    if t > now:
+        a, b = _free_step(a, b, t - now, params)
     _check_state(a, b, v)
     return a, b, v
 
@@ -182,8 +177,8 @@ def sweep(
     ``total_time`` keeps the run length fixed (tau = total_time / n shrinks
     as n grows), ``interval`` keeps the spacing tau fixed (the run lasts
     n * interval).  Kick k lands at k * tau, so the last one is on the final
-    instant.  A cell with n = 0 is free evolution over ``total_time``, or
-    the untouched initial state for ``interval``.  Reals are read by
+    instant.  A cell without a working kick (n = 0, or g = +-0, the identity)
+    is one free period of its whole run, exact at any n.  Reals are read by
     ``core._real``, counts by ``core._count`` (int64 holds [0, 2**63 - 1]).
 
     Records come g outermost, in deterministic grid order, one per cell.
@@ -206,17 +201,14 @@ def sweep(
     if duration <= 0:
         raise ValueError(f"the duration must be positive, got {duration}")
     params = params or SystemParams()
+    if interval is not None and 0.0 in g_values:  # before numpy forms n * interval
+        _check_free_step(duration * max(n_values), params)
     g_column = np.repeat(g_values, len(n_values))
     n_column = np.tile(np.array(n_values, dtype=np.int64), len(g_values))
-    if total_time is not None:
-        # n = 0 is one kick-free period of the whole run: a g = 0 kick is the identity.
-        kicked = n_column > 0
-        g_cell = np.where(kicked, g_column, 0.0)
-        n_cell = np.where(kicked, n_column, 1)
-        tau = duration / n_cell
-    else:
-        g_cell, n_cell = g_column, n_column
-        tau = np.full(len(n_cell), duration)
+    free = (n_column == 0) | (g_column == 0.0)
+    g_cell = np.where(free, 0.0, g_column)
+    n_cell = np.where(free, 1, n_column)
+    tau = duration / n_cell if interval is None else duration * np.where(free, n_column, 1)
     _check_free_step(tau.max(), params)  # on the given energies, before the shift below
     chunks = []
     for lo in range(0, len(n_cell), SWEEP_CHUNK):

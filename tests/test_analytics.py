@@ -191,6 +191,21 @@ class TestSurvivalFunction:
             analytics.survival_function(kicks, RESONANT)
 
 
+    def test_folds_its_kicks_once(self, monkeypatch):
+        # Each evaluation folded its kicks from t = 0 again.
+        calls = []
+        kick = engine._kick
+
+        def counting(*args):
+            calls.append(args)
+            return kick(*args)
+
+        monkeypatch.setattr(engine, "_kick", counting)
+        p10 = analytics.survival_function(tuple((0.1 * k, 0.7) for k in range(1, 10)), RESONANT)
+        for t in np.linspace(0.0, 1.5, 120):
+            p10(float(t))
+        assert len(calls) == 9
+
     def test_equals_final_state_over_the_rates_grid(self, monkeypatch):
         # Every evaluation the ``rates`` scenario makes, recorded as it is made.
         evaluations = []
@@ -230,7 +245,7 @@ def inflating_kick(a, b, v, g):
         ((), math.inf, None),
         (((0.5, 1.0), (0.4, 1.0)), 1.0, None),
         (((0.5, 1.0),), 0.4, None),
-        # Kick values reach ``_final`` already read by ``core._real``: a NaN time
+        # Kick values reach ``_fold`` already read by ``core._real``: a NaN time
         # or an infinite strength is refused at the entry (tests/test_core.py).
         (((-0.5, 1.0),), 1.0, None),
         (((0.5, 1.0), (1.5, 1.0)), 1.0, None),
@@ -239,13 +254,20 @@ def inflating_kick(a, b, v, g):
     ],
 )
 def test_the_scalar_fold_refuses_what_final_state_refuses(monkeypatch, kicks, total_time, kick):
+    # A survival curve evaluated at total_time folds the kicks as ``final_state``
+    # does, wherever it can hold them: in order and none past total_time.
     if kick is not None:
         monkeypatch.setattr(engine, "_kick", kick)
     with pytest.raises(ValueError) as state_error:
         engine.final_state(kicks, total_time, RESONANT)
-    with pytest.raises(ValueError) as scalar_error:
-        engine._final(kicks, total_time, RESONANT)
-    assert str(scalar_error.value) == str(state_error.value)
+    if any(t < 0 for t, _ in kicks):
+        # A curve has no run window to name: it refuses the time when built.
+        with pytest.raises(ValueError, match=r"^kick times must be >= 0, got -0\.5$"):
+            analytics.survival_function(kicks, RESONANT)
+    elif list(kicks) == sorted(kicks) and all(t <= total_time for t, _ in kicks):
+        with pytest.raises(ValueError) as curve_error:
+            analytics.survival_function(kicks, RESONANT)(total_time)
+        assert str(curve_error.value) == str(state_error.value)
 
 
 class TestZenoLoss:

@@ -269,6 +269,22 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+    def test_a_long_kick_free_interval_sweep_runs(self, tmp_path, capsys):
+        # Its g = 0 cell was doubled, and refused at exit 2 once its drift,
+        # growing with N, passed the guard: "total weight drifted from 1".
+        out = tmp_path / "free.csv"
+        path = tmp_path / "free.txt"
+        path.write_text(
+            "scenario = sweep\nmode = interval\ntau = 1e-3\ng_list = 0\nN_list = 1073741824\n"
+            f"out = {out}\n"
+        )
+        assert cli.main([str(path)]) == 0
+        _, row = out.read_text().splitlines()
+        p10, p01, pvac = map(float, row.split(",")[2:])
+        assert pvac == 0.0 and abs(p10 + p01 - 1.0) <= 1e-15
+        assert p10 == pytest.approx(math.cos(2**30 * 1e-3) ** 2, abs=1e-12)
+
+
 def piece_texts(values):
     """``cli._float_pieces`` of ``values``, joined as ``_csv`` prints them."""
     heads, tails = cli._float_pieces(np.array(values, dtype=np.float64))
@@ -804,6 +820,12 @@ class TestMainPlumbing:
         [
             ("scenario = sweep\nG = 1e10\nmode = interval\ntau = 1e300\ng_list = 1\nN_list = 1",
              "omega * tau overflows"),
+            # A g = 0 cell is one free period of its whole run, N tau long.
+            ("scenario = sweep\nmode = interval\ntau = 1e300\ng_list = 0\nN_list = 1000000000",
+             "tau * N_list must be finite, got inf"),
+            ("scenario = sweep\nG = 1e10\nmode = interval\ntau = 1e290\ng_list = 1, -0\n"
+             "N_list = 1, 1000000000",
+             "omega * tau * N_list overflows (omega = 1e+10, tau * N_list = 1e+299)"),
             ("scenario = run\neps_a = 1e308\neps_b = 1e308\nT = 1",
              "(eps_a + eps_b) * T overflows"),
             ("scenario = oracle-check\neps_a = 1e308\neps_b = -1e308\nT = 1\ntrials = 1",

@@ -469,6 +469,9 @@ OVERFLOW_ENTRIES = {
         lambda: engine.sweep((1.0,), (3,), total_time=1e300, params=FAST), "omega * dt"
     ),
     "sweep-interval": (lambda: engine.sweep((1.0,), (3,), interval=1e300, params=FAST), "omega * dt"),
+    "sweep-kick-free": (
+        lambda: engine.sweep((1.0, -0.0), (1, 10**9), interval=1e290, params=FAST), "omega * dt"
+    ),
     "engine.run_schedule": (
         lambda: engine.run_schedule(KickSchedule(((1.0, 1.0),), 1e300, 0.0), FAST), "omega * dt"
     ),
@@ -478,6 +481,9 @@ OVERFLOW_ENTRIES = {
     "final_state": (lambda: engine.final_state((), 1e300, FAST), "omega * total_time"),
     "final_state-numpy": (
         lambda: engine.final_state((), np.float64(1e300), FAST), "omega * total_time"
+    ),
+    "survival_function": (
+        lambda: analytics.survival_function(((1e300, 1.0),), FAST), "omega * kick times"
     ),
     "free_propagate": (lambda: free_propagate(ReducedState(), 1e300, FAST), "omega * dt"),
     "oracle.free_step": (

@@ -313,6 +313,8 @@ class TestSweep:
             dict(g_values=(1.0,), n_values=(1,), total_time=0.0),
             dict(g_values=(1.0,), n_values=(1,), interval=-0.5),
             dict(g_values=(1.0,), n_values=(1,), interval=math.inf),
+            # A g = 0 cell runs n * interval, which overflows: refused before numpy warns.
+            dict(g_values=(0.0,), n_values=(10**9,), interval=1e300),
         ]
         for kwargs in refused:
             with pytest.raises(ValueError):
@@ -387,6 +389,39 @@ def test_the_loss_of_a_long_detuned_run():
     params = SystemParams(1.3, 0.4, -0.2)
     expected = mpmath_loss(*LONG_RUN, params)
     assert long_run_loss(params) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("params", LOSS_PARAMS, ids=["resonant", "common-energy", "detuned"])
+@pytest.mark.parametrize(
+    "timing", [{"total_time": 1.0}, {"interval": 1e-3}], ids=["total", "interval"]
+)
+def test_kick_free_cells_are_exact_at_any_count(params, timing):
+    # A g = +-0 kick is the identity, so its cell is one free period of the
+    # whole run.  Doubled instead, a g = 0 column drifted in proportion to n:
+    # 3.9e-11 at 2**28 kicks spaced 1e-3, and the guard refused 2**30.
+    cells = engine.sweep((0.0, -0.0), (2**20, 2**30, 2**40), params=params, **timing)
+    assert np.signbit(cells.g).tolist() == [False] * 3 + [True] * 3
+    for cell in cells:
+        assert abs(cell.p10 + cell.p01 + cell.pvac - 1.0) <= 1e-15
+        n = int(cell.n)
+        tau = timing["total_time"] / n if "total_time" in timing else timing["interval"]
+        if params.resonant:
+            with mpmath.workdps(50):
+                expected = float(mpmath.cos(params.coupling * n * mpmath.mpf(tau)) ** 2)
+            assert abs(cell.p10 - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("params", LOSS_PARAMS, ids=["resonant", "common-energy", "detuned"])
+def test_cells_without_kicks_keep_their_bytes(params):
+    # n = 0 is free evolution over total_time, computed as the one period of a
+    # g = 0, n = 1 cell, and the untouched initial state for an interval.
+    g_values = (0.0, -0.0, 0.3, math.pi)
+    (free,) = engine.sweep((0.0,), (1,), total_time=0.8, params=params)
+    for cell in engine.sweep(g_values, (0,), total_time=0.8, params=params):
+        assert [x.hex() for x in cell.tolist()[2:]] == [x.hex() for x in free.tolist()[2:]]
+    untouched = [x.hex() for x in (1.0, 0.0, 0.0)]
+    for cell in engine.sweep(g_values, (0,), interval=1e-3, params=params):
+        assert [x.hex() for x in cell.tolist()[2:]] == untouched
 
 
 class TestLargeKickCounts:
