@@ -23,15 +23,18 @@ Tables are written 8192 rows at a time: the columns of a block are
 interleaved into one argument tuple for one ``%`` call on the line format
 repeated.  A column whose values repeat by construction formats each
 distinct value once and passes the texts: the sample times, shared by every
-strength of a ``run``, and its ``pvac`` and ``norm``, which change only at
-kicks; a sweep's ``g`` and ``N``.  Values are told apart by their bits, so
-``-0.0`` and ``0.0`` keep their own texts, and the bytes are those of
-formatting every value on its own.  In a table of ``_CSV_PIECES_ROWS`` rows
-or more, a block of a float column whose values lie mostly in [1e-4, 1), as
-probabilities do, is passed in pieces that ``%s`` prints: the head ``0.``
-with its zeros, and the 17 significant digits as an integer, computed
-exactly in numpy by ``_float_pieces``.  Python formats the rest, and the
-bytes stay those of ``%.17g``.
+strength of a ``run``, and a sweep's ``g`` and ``N``.  A run's ``pvac`` and
+``norm`` change only at kicks, so the pair is one field, written once per
+distinct pair.  Values are told apart by their bits, so ``-0.0`` and ``0.0``
+keep their own texts, and the bytes are those of formatting every value on
+its own.  In a table of ``_CSV_PIECES_ROWS`` rows or more, a block of a
+float column whose values lie mostly in [1e-6, 1e17), as probabilities and
+times do, is passed in pieces that ``%s`` prints, computed exactly in numpy
+by ``_float_pieces``: a head (``0.`` and its zeros, the lead digit of
+e-notation, or an integer part), the significant digits as integers, and,
+only in a block where one value in eight needs it, a third piece (``e-05``
+or the digits after an integer part).  Python formats the rest, and the bytes stay
+those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -457,7 +460,7 @@ _CSV_BLOCK = 1 << 13
 #: Rows from which a table may take its ``%.17g`` columns from ``_float_pieces``.
 #: Below it the kernel's fixed cost per call outweighs what it saves.
 _CSV_PIECES_ROWS = 1024
-#: Share of a block's values that must lie in [1e-4, 1) for ``_csv`` to take
+#: Share of a block's values that must lie in [1e-6, 1e17) for ``_csv`` to take
 #: the column from ``_float_pieces``.  The kernel adds more to a value that
 #: Python formats than it saves on one in that range: on blocks that mix the
 #: two at random it breaks even at a share of about 0.6.
@@ -477,33 +480,64 @@ def _halves(a):
     return hi, a - hi
 
 
-# Slot s = ``_DECADES.searchsorted(x, "right")`` in 1..4 holds the x of
-# decimal exponent X = s - 5: each of these doubles lies just above its power
-# of ten, so x >= 10**X exactly when x >= the double.  ``'%.17g'`` writes such
-# an x as its head, "0." and -X-1 zeros, then the 17 digits of
-# x * 10**(16 - X).  Slots 0 and 5 hold every other x.
-_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
-_HEADS = np.array(["", "0.000", "0.00", "0.0", "0.", ""], dtype=object)
-_SCALES = np.array([1.0, 1e20, 1e19, 1e18, 1e17, 1.0])
+# Slot s = ``_DECADES.searchsorted(x, "right")`` in 1..23 holds the x of
+# decimal exponent X = s - 7: each of these doubles is the first at or above
+# its power of ten, so x >= 10**X exactly when x >= the double.  The double
+# nearest 10**-6 lies below it, so that bound is the next one up.  Slots 0
+# and 24 hold every other x.  ``'%.17g'`` writes the 17 digits of
+# x * 10**(16 - X), the ``_SCALES``, in e-notation in slots 1 and 2, after
+# "0." and -X-1 zeros (the ``_HEADS``) in slots 3..6, and after an integer
+# part in slots 7..23.  Slots 1, 2 and 7..23 split off their lead, the first
+# digit or the integer part, from the ``_WIDTHS`` digits after it.
+_DECADES = np.array([1.0000000000000002e-06, *(float(f"1e{k}") for k in range(-5, 18))])
+_SCALES = np.array([1.0, *(float(f"1e{16 - x}") for x in range(-6, 17)), 1.0])
 _SCALES_HI, _SCALES_LO = _halves(_SCALES)
+_HEADS = np.array(["", "", "", "0.000", "0.00", "0.0", "0.", *[""] * 18], dtype=object)
+_WIDTHS = np.array([0, 16, 16, 0, 0, 0, 0, *range(16, -1, -1), 0])
+_UNITS = 10**_WIDTHS
+#: slots 1 and 2 write e-notation, slots 7..23 an integer part
+_E_SLOTS, _WHOLE_SLOTS = 3, 7
+_POWERS = 10 ** np.arange(17)  # ``_POWERS.searchsorted(n, "right")`` counts n's digits
+#: marks digits after a lead that are all zero, which ``%g`` drops with the point
+_NONE = 17
+_SUFFIXES = np.array(["", "e-06", "e-05", *[""] * 22], dtype=object)
+#: [L, z]: an e-notation lead L, its point and z zeros; at ``_NONE`` the bare L
+_PREFIXES = np.array(
+    [[f"{lead}." + "0" * z for z in range(_NONE)] + [str(lead)] for lead in range(10)],
+    dtype=object,
+)
+#: [z]: the point and z zeros after an integer part; at ``_NONE`` nothing
+_POINTS = np.array(["." + "0" * z for z in range(_NONE)] + [""], dtype=object)
+#: Share of values from which ``_float_pieces`` returns third pieces.  Below
+#: it their texts join the second piece: a third piece costs a reference for
+#: every value, a joined text about 60 bytes for each value that needs one.
+_THIRD_PIECE_SHARE = 1 / 8
 
 
-def _float_pieces(values: np.ndarray) -> tuple[list, list]:
-    """``'%.17g' % x`` of each float x of ``values`` as ``heads[i]``, then ``tails[i]``.
+def _float_pieces(values: np.ndarray) -> tuple[list, ...]:
+    """``'%.17g' % x`` of each float x of ``values`` as two or three pieces that ``%s`` prints.
 
-    Both are printed by ``%s``.  For 1e-4 <= x < 1 the head is "0." and its
-    zeros, and the tail is the integer of the 17 significant digits without
-    their trailing zeros.  The digits are exact: 10**17..10**20 are doubles,
-    so Dekker's two-product gives x * 10**(16 - X) = p + e exactly, p an
-    integer, and the digits are p plus e rounded.  No rounding carries to 18
-    digits: the double below each power of ten lies more than 8 units of its
-    17th digit under it.  Every other x, and an e that ends in exactly one
-    half, fall back to a head of ``'%.17g' % x`` and a tail of ``""``, so the
-    text is that of ``'%.17g'`` for every value.
+    The pieces of x are its texts in order, each an int or a str:
+    - 1e-6 <= x < 1e-4: "L." and zeros (or a bare "L"), the rest of the 17
+      significant digits, then "e-06" or "e-05";
+    - 1e-4 <= x < 1: "0." and zeros, then the 17 digits;
+    - 1 <= x < 1e17: the integer part, then "." and zeros, then the digits
+      after them, or "" and "" for an integral x.
+    Digits drop their trailing zeros.  The third pieces are returned only if
+    at least ``_THIRD_PIECE_SHARE`` of them are not empty; otherwise those
+    that are not are joined to their second pieces as texts.
+
+    The digits are exact: 10**0..10**22 are doubles, so Dekker's two-product
+    gives x * 10**(16 - X) = p + e exactly, p an integer, and the digits are
+    p plus e rounded.  No rounding carries to 18 digits: the double below
+    each bound lies more than 8 units of its 17th digit under the bound's
+    power of ten.  Every other x, and an e that ends in exactly one half,
+    fall back to ``'%.17g' % x`` in the first piece, so the text is that of
+    ``'%.17g'`` for every value.
     """
     slot = _DECADES.searchsorted(values, side="right")
-    fixed = (slot > 0) & (slot < len(_DECADES))
-    x = np.where(fixed, values, 0.5)  # keeps the arithmetic finite
+    kernel = (slot > 0) & (slot < len(_DECADES))
+    x = np.where(kernel, values, 0.5)  # keeps the arithmetic finite
     p = x * _SCALES[slot]
     x_hi, x_lo = _halves(x)
     s_hi, s_lo = _SCALES_HI[slot], _SCALES_LO[slot]
@@ -511,34 +545,64 @@ def _float_pieces(values: np.ndarray) -> tuple[list, list]:
     whole = np.floor(e)
     frac = e - whole
     digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    fixed &= frac != 0.5
+    kernel &= frac != 0.5
+    split = np.flatnonzero(kernel & ((slot < _E_SLOTS) | (slot >= _WHOLE_SLOTS)))
+    lead, after = np.divmod(digits[split], _UNITS[slot[split]])
+    zeros = _WIDTHS[slot[split]] - _POWERS.searchsorted(after, side="right")
+    zeros[after == 0] = _NONE
+    digits[split] = after
+    ends_in_zero = np.flatnonzero(digits % 10 == 0)
+    stripped = digits[ends_in_zero]
     for step in (10**8, 10**4, 10**2, 10, 10):  # strips up to 16 trailing zeros
-        quotient = digits // step
-        digits = np.where(quotient * step == digits, quotient, digits)
+        quotient = stripped // step
+        stripped = np.where(quotient * step == stripped, quotient, stripped)
+    digits[ends_in_zero] = stripped
     heads, tails = _HEADS[slot], digits.astype(object)
-    rest = np.flatnonzero(~fixed)
+    tails[split[zeros == _NONE]] = ""
+    e_notation = slot[split] < _E_SLOTS
+    heads[split[e_notation]] = _PREFIXES[lead[e_notation], zeros[e_notation]]
+    whole_part = split[~e_notation]
+    heads[whole_part] = lead[~e_notation].astype(object)
+    rest = np.flatnonzero(~kernel)
     heads[rest] = np.array(_texts(values[rest]), dtype=object)
     tails[rest] = ""
-    return heads.tolist(), tails.tolist()
+    pieces = [heads, tails]
+    third = np.concatenate([split[e_notation], whole_part[zeros[~e_notation] != _NONE]])
+    if len(third):
+        ends = _SUFFIXES[slot]
+        ends[rest] = ""
+        ends[whole_part] = tails[whole_part]
+    tails[whole_part] = _POINTS[zeros[~e_notation]]
+    if len(third) >= max(_THIRD_PIECE_SHARE * len(values), 1):
+        pieces.append(ends)
+    elif len(third):
+        tails[third] = list(map("%s%s".__mod__, zip(tails[third], ends[third])))
+    return tuple(piece.tolist() for piece in pieces)
 
 
 def _pieces_pay(values: np.ndarray, rows: int) -> bool:
     """Whether ``_float_pieces`` beats ``%.17g`` on ``values``, a block of a ``rows``-row table."""
     if rows < _CSV_PIECES_ROWS:
         return False
-    fixed = np.count_nonzero((values >= _DECADES[0]) & (values < 1.0))
-    return fixed >= _CSV_PIECES_SHARE * len(values)
+    inside = np.count_nonzero((values >= _DECADES[0]) & (values < _DECADES[-1]))
+    return inside >= _CSV_PIECES_SHARE * len(values)
 
 
-def _repeated_texts(values: np.ndarray) -> list[str]:
-    """``_texts`` of a 64-bit column, formatting each distinct value once.
+def _repeated_texts(column: np.ndarray, *more: np.ndarray) -> list[str]:
+    """``_texts`` of 64-bit columns, joined by commas, formatting each distinct row once.
 
-    Values are told apart by their bits, so ``-0.0`` and ``0.0`` keep their
-    own texts.  Pays off for columns whose values repeat by construction.
+    Rows are told apart by the bits of their values, so ``-0.0`` and ``0.0``
+    keep their own texts.  Pays off for columns whose values repeat by
+    construction.
     """
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(_texts(keys.view(values.dtype)), dtype=object)
-    return texts[inverse].tolist()
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = _texts(keys.view(column.dtype))
+    for extra in more:
+        keys, other = np.unique(extra.view(np.int64), return_inverse=True)
+        other_texts = _texts(keys.view(extra.dtype))
+        rows, inverse = np.unique(inverse * len(keys) + other, return_inverse=True)
+        texts = [f"{texts[i]},{other_texts[j]}" for i, j in zip(*np.divmod(rows, len(keys)))]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _csv(header: str, columns: list[tuple]) -> str:
@@ -546,7 +610,7 @@ def _csv(header: str, columns: list[tuple]) -> str:
 
     Each column is a format and the sequences it takes, in order: ``("%s",
     texts)`` for values that are texts already, ``("%s%s", heads, tails)``
-    for texts in pieces, else ``(fmt, values)`` with the format of every
+    or three ``%s`` for texts in pieces, else ``(fmt, values)`` with the format of every
     value.  Where ``_pieces_pay`` says so, a block of a ``"%.17g"`` column
     is taken from ``_float_pieces`` instead.  A block of rows is one ``%``
     call on the line format repeated, so no text is made per value or row.
@@ -561,7 +625,8 @@ def _csv(header: str, columns: list[tuple]) -> str:
             if fmt == "%.17g":
                 values = np.asarray(sequences[0], dtype=np.float64)
                 if _pieces_pay(values, rows):
-                    fmt, sequences = "%s%s", _float_pieces(values)
+                    sequences = _float_pieces(values)
+                    fmt = "%s" * len(sequences)
             fmts.append(fmt)
             parts += sequences
         width = len(parts)
@@ -578,14 +643,13 @@ def trajectory_csv(traj: Trajectory, t_pieces: tuple[Sequence, ...] | None = Non
     ``t_pieces`` is ``traj.t`` already formatted, for a caller writing several
     trajectories on one sample grid: sequences whose items, printed by ``%s``
     one after another, give each time's text, such as ``(texts,)`` or the
-    ``(heads, tails)`` of ``_float_pieces``.
+    pieces of ``_float_pieces``.
     """
     columns = [
         ("%.17g", traj.t) if t_pieces is None else ("%s" * len(t_pieces), *t_pieces),
         ("%.17g", traj.p10),
         ("%.17g", traj.p01),
-        ("%s", _repeated_texts(traj.pvac)),
-        ("%s", _repeated_texts(traj.norm)),
+        ("%s", _repeated_texts(traj.pvac, traj.norm)),
     ]
     return _csv("t,p10,p01,pvac,norm", columns)
 

@@ -342,3 +342,32 @@ def test_only_the_reader_of_real_numbers_tests_an_input_for_finiteness():
         visit(ast.parse(path.read_text()), path.stem)
     assert "core._real" in calls
     assert sorted(calls - FINITENESS_CHECKS) == []
+
+
+def test_a_run_loads_neither_fractions_nor_decimal(tmp_path):
+    # The CSV kernel's tables are float and str literals: its exact decimal
+    # digits come from numpy, not from ``fractions`` or ``decimal``, which no
+    # module of a run loads.
+    src = str(Path(zenokick.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    scenario = tmp_path / "run.txt"
+    out = tmp_path / "traj.csv"
+    scenario.write_text(
+        "scenario = run\nT = 1\nt_kicks = 0.1, 0.3, 0.5, 0.7, 0.9\ng_list = 3pi/4\n"
+        f"resolution = 2000\nout = {out}\n"
+    )
+    probe = (
+        "import sys, zenokick\n"
+        "cli, pieces = zenokick.cli, []\n"
+        "kernel = cli._float_pieces\n"
+        "cli._float_pieces = lambda values: pieces.append(kernel(values)) or pieces[-1]\n"
+        f"code = cli.main([{str(scenario)!r}])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(any(str(x)[-4:] in ('e-05', 'e-06') for p in pieces for x in p[-1]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The kernel wrote some of the p01 column in e-notation.
+    assert proc.stdout.splitlines() == [f"wrote {out} (g=2.3561944901923448)", "0 []", "True"]

@@ -287,8 +287,17 @@ class TestCmdSweep:
 
 def piece_texts(values):
     """``cli._float_pieces`` of ``values``, joined as ``_csv`` prints them."""
-    heads, tails = cli._float_pieces(np.array(values, dtype=np.float64))
-    return ["%s%s" % piece for piece in zip(heads, tails)]
+    pieces = cli._float_pieces(np.array(values, dtype=np.float64))
+    assert len(pieces) in (2, 3)
+    return [("%s" * len(pieces)) % piece for piece in zip(*pieces)]
+
+
+def _tie(decade):
+    """The double just above 1.5 * 10**decade whose x * 10**(16 - decade) ends in exactly .5."""
+    # 10**(16 - decade) holds 2**(16 - decade), so an odd multiple of
+    # 2**(decade - 17) leaves exactly one half.
+    odd = 2 * int(1.5 * 10.0**decade * 2.0 ** (17 - decade) / 2) + 1
+    return math.ldexp(odd, decade - 17)
 
 
 def _named_edges():
@@ -296,9 +305,24 @@ def _named_edges():
     for k in range(1, 6):
         x = 10.0**-k
         for name, y in (("", x), ("-ulp", math.nextafter(x, 0)), ("+ulp", math.nextafter(x, 1))):
-            yield f"1e-{k}{name}", y, 1e-4 <= y < 1
+            yield f"1e-{k}{name}", y, True
+    # The double nearest 10**-6 lies below it, so it and the one below fall back.
+    yield "1e-6", 1e-6, False
+    yield "1e-6-ulp", math.nextafter(1e-6, 0), False
+    yield "1e-6+ulp", math.nextafter(1e-6, 1), True
+    yield "zeros-after-the-point", 1.0000000000000001e-05, True
+    yield "1e-05", 1e-05, True  # no double in [1e-6, 1e-4) prints as a bare digit
+    yield "3e-06", 3e-06, True
     yield "one-minus-half-ulp", 1 - 2**-53, True
+    yield "one", 1.0, True
+    yield "twelve-and-a-half", 12.5, True
+    yield "2**53", 2.0**53, True
+    yield "1e16", 1e16, True
+    yield "1e17-ulp", math.nextafter(1e17, 0), True
+    yield "1e17", 1e17, False
     yield "tie-211*2**-21", 211 * 2**-21, False  # x * 10**20 ends in exactly .5
+    for decade in (-6, -5, *range(16)):  # every decade with a fraction below the 17th digit
+        yield f"tie-1e{decade}", _tie(decade), False
     yield "zero", 0.0, False
     yield "minus-zero", -0.0, False
     yield "subnormal", 5e-324, False
@@ -310,8 +334,21 @@ class TestFloatPieces:
                              ids=[edge[0] for edge in _named_edges()])
     def test_named_edges_match_percent_17g(self, x, fast):
         assert piece_texts([x]) == ["%.17g" % x]
-        _, tails = cli._float_pieces(np.array([x]))
-        assert isinstance(tails[0], int) == fast
+        pieces = cli._float_pieces(np.array([x]))
+        assert any(isinstance(piece[0], int) for piece in pieces) == fast
+
+    def test_a_third_piece_only_where_a_value_needs_one(self):
+        # An integral x is its integer part and ""; an e-notation x or a
+        # fraction after an integer part needs the third piece.
+        assert cli._float_pieces(np.array([0.5, 1.0, 0.0])) == (["0.", 1, "0"], [5, "", ""])
+        assert cli._float_pieces(np.array([12.5, 1.0])) == ([12, 1], [".", ""], [5, ""])
+        assert cli._float_pieces(np.array([1.0000000000000001e-05, 0.5])) == (
+            ["1.000000000000000", "0."], [1, 5], ["e-05", ""]
+        )
+        # Below one value in eight, a third piece joins the second as text.
+        assert cli._float_pieces(np.array([12.5] + [0.5] * 8)) == (
+            [12, *["0."] * 8], [".5", *[5] * 8]
+        )
 
     def test_seeded_near_ties_match_percent_17g(self):
         # Dyadics j * 2**-22 hold exact ties of the 17th digit; decimals of
@@ -322,15 +359,18 @@ class TestFloatPieces:
             [float(f"0.{d}5") for d in rng.integers(10**15, 10**16, 20000).tolist()],
             rng.random(20000) ** 6,
             np.mod(rng.integers(0, 2**62, 20000).view(np.float64), 1.0),
+            10.0 ** rng.uniform(-7, 18, 20000),
+            rng.integers(1, 2**40, 20000) * 2.0**-24,  # ties in the decades from 1 to 1e4
         ])
         assert piece_texts(values) == ["%.17g" % x for x in values.tolist()]
 
     def test_each_decade_bound_is_the_first_double_at_its_power_of_ten(self):
-        for bound, k in zip(cli._DECADES.tolist(), (4, 3, 2, 1, 0)):
-            num, den = bound.as_integer_ratio()
-            below_num, below_den = math.nextafter(bound, 0.0).as_integer_ratio()
-            assert num * 10**k >= den  # bound >= 10**-k
-            assert below_num * 10**k < below_den  # the double below it is under 10**-k
+        assert len(cli._DECADES) == 24
+        for bound, k in zip(cli._DECADES.tolist(), range(-6, 18)):
+            for x, at_least in ((bound, True), (math.nextafter(bound, 0.0), False)):
+                num, den = x.as_integer_ratio()
+                # x >= 10**k, in integers
+                assert (num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0)) == at_least, (k, x)
 
     @settings(derandomize=True, database=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
@@ -340,6 +380,16 @@ class TestFloatPieces:
     @settings(derandomize=True, database=None)
     @given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), max_size=40))
     def test_floats_in_the_fixed_range_match_percent_17g(self, values):
+        assert piece_texts(values) == ["%.17g" % x for x in values]
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(1e-6, 1e-4, exclude_max=True), max_size=40))
+    def test_floats_in_the_e_notation_range_match_percent_17g(self, values):
+        assert piece_texts(values) == ["%.17g" % x for x in values]
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(1.0, 1e17, exclude_max=True), max_size=40))
+    def test_floats_with_an_integer_part_match_percent_17g(self, values):
         assert piece_texts(values) == ["%.17g" % x for x in values]
 
 
@@ -417,11 +467,46 @@ class TestCsvFormat:
         monkeypatch.setattr(cli, "_float_pieces", counted)
         for rows in (cli._CSV_PIECES_ROWS - 1, cli._CSV_PIECES_ROWS):
             inside = np.linspace(0.1, 0.9, rows)
-            columns = (inside, inside + 1.0)  # in [1e-4, 1), and outside it
+            columns = (inside, inside * 1e-7)  # in the kernel's range, and below it
             want = self.fstring_csv("a,b", columns)
             calls.clear()
             assert cli._csv("a,b", [("%.17g", column) for column in columns]) == want
             assert calls == ([rows] if rows >= cli._CSV_PIECES_ROWS else [])
+
+    def test_each_block_takes_a_third_piece_only_where_it_needs_one(self, monkeypatch):
+        counts = []
+
+        def counted(values):
+            pieces = kernel(values)
+            counts.append(len(pieces))
+            return pieces
+
+        kernel = cli._float_pieces
+        monkeypatch.setattr(cli, "_float_pieces", counted)
+        self.pieces(monkeypatch, 0, 0.0)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+        # Blocks of 4 rows: probabilities and integral values print in two
+        # pieces; e-notation and a fraction after an integer part need three.
+        a = [0.5, 0.25, 1.0, 0.0, 3e-5, 0.5, 0.5, 0.5, 12.5, 1.0, 2.0, 0.5, 1.0, 2.0, 1e16, -0.0]
+        b = [0.1] * 4 + [0.2] * 4 + [5e-6, 0.3, 0.3, 0.3] + [7.0] * 4
+        columns = (np.array(a), np.array(b))
+        want = self.fstring_csv("a,b", columns)
+        assert cli._csv("a,b", [("%.17g", column) for column in columns]) == want
+        assert counts == [2, 2, 3, 2, 3, 3, 2, 2]
+
+    def test_the_pvac_norm_field_tells_pairs_apart_by_their_bits(self, monkeypatch):
+        # Pairs that differ in one bit of one value: -0.0 against 0.0, and
+        # norms one ulp either side of 1.
+        pvac = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 5e-324])
+        norm = np.array([1.0, 1.0, 1 - 2**-53, 1 - 2**-53, 1 + 2**-52, 1.0, 1 + 2**-52, 1.0])
+        assert cli._repeated_texts(pvac, norm) == [f"{a:.17g},{b:.17g}" for a, b in zip(pvac, norm)]
+        t = np.linspace(0.0, 1.0, len(pvac))
+        columns = (t, np.cos(t) ** 2, np.sin(t) ** 2, pvac, norm)
+        for block in (cli._CSV_BLOCK, 4):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            assert cli.trajectory_csv(Trajectory(*columns)) == self.fstring_csv(
+                "t,p10,p01,pvac,norm", columns
+            )
 
     @pytest.mark.parametrize(
         "energies, kick_times",

@@ -301,6 +301,21 @@ class TestSweep:
         monkeypatch.setattr(engine, "SWEEP_CHUNK", 7)
         assert np.array_equal(engine.sweep(g_values, n_values, total_time=math.pi / 2), whole)
 
+    def test_chunks_take_cells_in_order_of_n(self, monkeypatch):
+        # A chunk doubles as often as its largest n needs.
+        seen = []
+
+        def recorded(g, n, tau, params):
+            seen.append(n.copy())
+            return populations(g, n, tau, params)
+
+        populations = engine._equally_spaced_populations
+        monkeypatch.setattr(engine, "_equally_spaced_populations", recorded)
+        monkeypatch.setattr(engine, "SWEEP_CHUNK", 4)
+        engine.sweep((0.3, math.pi), (2**40, 3, 0, 17, 1), interval=1e-3)
+        # n = 0 is one free period, n = 1.
+        assert [chunk.tolist() for chunk in seen] == [[1, 1, 1, 1], [3, 3, 17, 17], [2**40, 2**40]]
+
     def test_spec_validation(self):
         refused = [
             dict(g_values=(), n_values=(1,), total_time=1.0),
