@@ -33,8 +33,8 @@ times do, is passed in pieces that ``%s`` prints, computed exactly in numpy
 by ``_float_pieces``: a head (``0.`` and its zeros, the lead digit of
 e-notation, or an integer part), the significant digits as integers, and,
 only in a block where one value in eight needs it, a third piece (``e-05``
-or the digits after an integer part).  Python formats the rest, and the bytes stay
-those of ``%.17g``.
+or the digits after an integer part).  Python formats the rest, and the
+bytes stay those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -462,8 +462,12 @@ _CSV_BLOCK = 1 << 13
 _CSV_PIECES_ROWS = 1024
 #: Share of a block's values that must lie in [1e-6, 1e17) for ``_csv`` to take
 #: the column from ``_float_pieces``.  The kernel adds more to a value that
-#: Python formats than it saves on one in that range: on blocks that mix the
-#: two at random it breaks even at a share of about 0.6.
+#: Python formats than it saves on one in that range.  On blocks of 8192 that
+#: mix the two at random (the others below 1e-6) it breaks even at a share of
+#: about 0.6 for values in [1e-4, 1), 0.65 for values spread over [1e-6, 1),
+#: and only from 0.85 (times in [1, 10)) to 1.0 (values spread over [1, 1e17))
+#: for values in fixed notation.  Every block the CLI writes above the bound
+#: is a probability's, or a run's times, all in the range but t = 0.
 _CSV_PIECES_SHARE = 2 / 3
 
 
@@ -509,8 +513,15 @@ _PREFIXES = np.array(
 #: [z]: the point and z zeros after an integer part; at ``_NONE`` nothing
 _POINTS = np.array(["." + "0" * z for z in range(_NONE)] + [""], dtype=object)
 #: Share of values from which ``_float_pieces`` returns third pieces.  Below
-#: it their texts join the second piece: a third piece costs a reference for
-#: every value, a joined text about 60 bytes for each value that needs one.
+#: it their texts join the second piece.  The 1/8 is a byte model, not a
+#: timing: a third piece costs an 8-byte reference for every value, a joined
+#: text about 60 bytes for each value that needs one.  Of the columns the CLI
+#: writes, p01 at g = pi/2 and 3pi/4 (0.28 and 0.37 of its values need one)
+#: and a T = 10 run's times (0.90) take three pieces; p10, p01 at g = pi/8
+#: and pi/4 (about 0.01) and a T = 1 run's times (1e-4) join.  The one
+#: measured need is that last column, shared by the files of a run: three
+#: strengths at 330 001 points peak at 190.8 MB with three pieces, 188.2 MB
+#: joined.
 _THIRD_PIECE_SHARE = 1 / 8
 
 
@@ -588,8 +599,8 @@ def _pieces_pay(values: np.ndarray, rows: int) -> bool:
     return inside >= _CSV_PIECES_SHARE * len(values)
 
 
-def _repeated_texts(column: np.ndarray, *more: np.ndarray) -> list[str]:
-    """``_texts`` of 64-bit columns, joined by commas, formatting each distinct row once.
+def _repeated_texts(column: np.ndarray, other: np.ndarray | None = None) -> list[str]:
+    """``_texts`` of a 64-bit column, or of two joined by commas, each distinct row once.
 
     Rows are told apart by the bits of their values, so ``-0.0`` and ``0.0``
     keep their own texts.  Pays off for columns whose values repeat by
@@ -597,11 +608,12 @@ def _repeated_texts(column: np.ndarray, *more: np.ndarray) -> list[str]:
     """
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
     texts = _texts(keys.view(column.dtype))
-    for extra in more:
-        keys, other = np.unique(extra.view(np.int64), return_inverse=True)
-        other_texts = _texts(keys.view(extra.dtype))
-        rows, inverse = np.unique(inverse * len(keys) + other, return_inverse=True)
-        texts = [f"{texts[i]},{other_texts[j]}" for i, j in zip(*np.divmod(rows, len(keys)))]
+    if other is not None:
+        other_keys, other_inverse = np.unique(other.view(np.int64), return_inverse=True)
+        other_texts = _texts(other_keys.view(other.dtype))
+        rows, inverse = np.unique(inverse * len(other_keys) + other_inverse, return_inverse=True)
+        pairs = zip(*np.divmod(rows, len(other_keys)))
+        texts = [f"{texts[i]},{other_texts[j]}" for i, j in pairs]
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
@@ -610,10 +622,11 @@ def _csv(header: str, columns: list[tuple]) -> str:
 
     Each column is a format and the sequences it takes, in order: ``("%s",
     texts)`` for values that are texts already, ``("%s%s", heads, tails)``
-    or three ``%s`` for texts in pieces, else ``(fmt, values)`` with the format of every
-    value.  Where ``_pieces_pay`` says so, a block of a ``"%.17g"`` column
-    is taken from ``_float_pieces`` instead.  A block of rows is one ``%``
-    call on the line format repeated, so no text is made per value or row.
+    or three ``%s`` for texts in pieces, else ``(fmt, values)`` with the
+    format of every value.  Where ``_pieces_pay`` says so, a block of a
+    ``"%.17g"`` column is taken from ``_float_pieces`` instead.  A block of
+    rows is one ``%`` call on the line format repeated, so no text is made
+    per value or row.
     """
     rows = len(columns[0][1])
     blocks = [header + "\n"]

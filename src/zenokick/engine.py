@@ -212,14 +212,16 @@ def sweep(
     tau = duration / n_cell if interval is None else duration * np.where(free, n_column, 1)
     _check_free_step(tau.max(), params)  # on the given energies, before the shift below
     # Each cell's arithmetic is its own, so the order moves none of its bits.
-    order = np.argsort(n_cell, kind="stable") if len(n_cell) > SWEEP_CHUNK else slice(None)
+    order = np.argsort(n_cell, kind="stable")
     g_cell, n_cell, tau = g_cell[order], n_cell[order], tau[order]
     chunks = []
     for lo in range(0, len(n_cell), SWEEP_CHUNK):
         part = slice(lo, lo + SWEEP_CHUNK)
         chunks.append(_equally_spaced_populations(g_cell[part], n_cell[part], tau[part], params))
     p10, p01, pvac = populations = np.empty((3, len(n_cell)))
-    populations[:, order] = [np.concatenate(column) for column in zip(*chunks)]
+    # Row by row: a fill from a list of the three costs a process 20 us more on first use.
+    for row, column in zip(populations, zip(*chunks)):
+        row[order] = np.concatenate(column)
     check_populations(p10, p01, pvac, p10 + p01 + pvac)
     # Filled in place: np.rec.fromarrays would cost a process 0.3 ms more on first use.
     cells = np.empty(len(n_column), _CELL).view(np.recarray)
