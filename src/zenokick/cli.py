@@ -28,13 +28,13 @@ strength of a ``run``, and a sweep's ``g`` and ``N``.  A run's ``pvac`` and
 distinct pair.  Values are told apart by their bits, so ``-0.0`` and ``0.0``
 keep their own texts, and the bytes are those of formatting every value on
 its own.  In a table of ``_CSV_PIECES_ROWS`` rows or more, a block of a
-float column whose values lie mostly in [1e-6, 1e17), as probabilities and
-times do, is passed in pieces that ``%s`` prints, computed exactly in numpy
-by ``_float_pieces``: a head (``0.`` and its zeros, the lead digit of
-e-notation, or an integer part), the significant digits as integers, and,
-only in a block where one value in eight needs it, a third piece (``e-05``
-or the digits after an integer part).  Python formats the rest, and the
-bytes stay those of ``%.17g``.
+float column whose values lie mostly in [1e-6, 1), as probabilities do, is
+passed in pieces that ``%s`` prints, computed exactly in numpy by
+``_float_pieces``: a head (``0.`` and its zeros, or the lead digit of
+e-notation with its point and zeros), the significant digits as integers,
+and, only in a block that holds an e-notation value, a third piece
+(``e-05`` or ``e-06``).  Python formats the rest, and the bytes stay those
+of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -460,14 +460,13 @@ _CSV_BLOCK = 1 << 13
 #: Rows from which a table may take its ``%.17g`` columns from ``_float_pieces``.
 #: Below it the kernel's fixed cost per call outweighs what it saves.
 _CSV_PIECES_ROWS = 1024
-#: Share of a block's values that must lie in [1e-6, 1e17) for ``_csv`` to take
+#: Share of a block's values that must lie in [1e-6, 1) for ``_csv`` to take
 #: the column from ``_float_pieces``.  The kernel adds more to a value that
-#: Python formats than it saves on one in that range.  On blocks of 8192 that
+#: Python formats than it saves on one in that range: on blocks of 8192 that
 #: mix the two at random (the others below 1e-6) it breaks even at a share of
-#: about 0.6 for values in [1e-4, 1), 0.65 for values spread over [1e-6, 1),
-#: and only from 0.85 (times in [1, 10)) to 1.0 (values spread over [1, 1e17))
-#: for values in fixed notation.  Every block the CLI writes above the bound
-#: is a probability's, or a run's times, all in the range but t = 0.
+#: about 0.6 for values in [1e-4, 1) and 0.65 for values spread over
+#: [1e-6, 1).  The blocks the CLI writes above the bound hold probabilities,
+#: or sample times below 1.
 _CSV_PIECES_SHARE = 2 / 3
 
 
@@ -484,61 +483,38 @@ def _halves(a):
     return hi, a - hi
 
 
-# Slot s = ``_DECADES.searchsorted(x, "right")`` in 1..23 holds the x of
+# Slot s = ``_DECADES.searchsorted(x, "right")`` in 1..6 holds the x of
 # decimal exponent X = s - 7: each of these doubles is the first at or above
 # its power of ten, so x >= 10**X exactly when x >= the double.  The double
 # nearest 10**-6 lies below it, so that bound is the next one up.  Slots 0
-# and 24 hold every other x.  ``'%.17g'`` writes the 17 digits of
-# x * 10**(16 - X), the ``_SCALES``, in e-notation in slots 1 and 2, after
-# "0." and -X-1 zeros (the ``_HEADS``) in slots 3..6, and after an integer
-# part in slots 7..23.  Slots 1, 2 and 7..23 split off their lead, the first
-# digit or the integer part, from the ``_WIDTHS`` digits after it.
-_DECADES = np.array([1.0000000000000002e-06, *(float(f"1e{k}") for k in range(-5, 18))])
-_SCALES = np.array([1.0, *(float(f"1e{16 - x}") for x in range(-6, 17)), 1.0])
+# and 7 hold every other x.  ``'%.17g'`` writes the 17 digits of
+# x * 10**(16 - X), the ``_SCALES``, in e-notation in slots 1 and 2, split
+# into their lead digit and the 16 digits after it, and after "0." and -X-1
+# zeros (the ``_HEADS``) in slots 3..6.
+_DECADES = np.array([1.0000000000000002e-06, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_SCALES = np.array([1.0, 1e22, 1e21, 1e20, 1e19, 1e18, 1e17, 1.0])
 _SCALES_HI, _SCALES_LO = _halves(_SCALES)
-_HEADS = np.array(["", "", "", "0.000", "0.00", "0.0", "0.", *[""] * 18], dtype=object)
-_WIDTHS = np.array([0, 16, 16, 0, 0, 0, 0, *range(16, -1, -1), 0])
-_UNITS = 10**_WIDTHS
-#: slots 1 and 2 write e-notation, slots 7..23 an integer part
-_E_SLOTS, _WHOLE_SLOTS = 3, 7
+_HEADS = np.array(["", "", "", "0.000", "0.00", "0.0", "0.", ""], dtype=object)
+_E_SLOTS = 3  # slots 1 and 2 write e-notation
 _POWERS = 10 ** np.arange(17)  # ``_POWERS.searchsorted(n, "right")`` counts n's digits
-#: marks digits after a lead that are all zero, which ``%g`` drops with the point
-_NONE = 17
-_SUFFIXES = np.array(["", "e-06", "e-05", *[""] * 22], dtype=object)
-#: [L, z]: an e-notation lead L, its point and z zeros; at ``_NONE`` the bare L
-_PREFIXES = np.array(
-    [[f"{lead}." + "0" * z for z in range(_NONE)] + [str(lead)] for lead in range(10)],
-    dtype=object,
-)
-#: [z]: the point and z zeros after an integer part; at ``_NONE`` nothing
-_POINTS = np.array(["." + "0" * z for z in range(_NONE)] + [""], dtype=object)
-#: Share of values from which ``_float_pieces`` returns third pieces.  Below
-#: it their texts join the second piece.  The 1/8 is a byte model, not a
-#: timing: a third piece costs an 8-byte reference for every value, a joined
-#: text about 60 bytes for each value that needs one.  Of the columns the CLI
-#: writes, p01 at g = pi/2 and 3pi/4 (0.28 and 0.37 of its values need one)
-#: and a T = 10 run's times (0.90) take three pieces; p10, p01 at g = pi/8
-#: and pi/4 (about 0.01) and a T = 1 run's times (1e-4) join.  The one
-#: measured need is that last column, shared by the files of a run: three
-#: strengths at 330 001 points peak at 190.8 MB with three pieces, 188.2 MB
-#: joined.
-_THIRD_PIECE_SHARE = 1 / 8
+_SUFFIXES = np.array(["", "e-06", "e-05", "", "", "", "", ""], dtype=object)
+#: [L, z]: an e-notation lead L, its point and z zeros
+_PREFIXES = np.array([[f"{lead}.{'0' * z}" for z in range(16)] for lead in range(10)], object)
 
 
 def _float_pieces(values: np.ndarray) -> tuple[list, ...]:
     """``'%.17g' % x`` of each float x of ``values`` as two or three pieces that ``%s`` prints.
 
     The pieces of x are its texts in order, each an int or a str:
-    - 1e-6 <= x < 1e-4: "L." and zeros (or a bare "L"), the rest of the 17
-      significant digits, then "e-06" or "e-05";
-    - 1e-4 <= x < 1: "0." and zeros, then the 17 digits;
-    - 1 <= x < 1e17: the integer part, then "." and zeros, then the digits
-      after them, or "" and "" for an integral x.
-    Digits drop their trailing zeros.  The third pieces are returned only if
-    at least ``_THIRD_PIECE_SHARE`` of them are not empty; otherwise those
-    that are not are joined to their second pieces as texts.
+    - 1e-6 <= x < 1e-4: "L." and zeros, the rest of the 17 significant
+      digits, then "e-06" or "e-05";
+    - 1e-4 <= x < 1: "0." and zeros, then the 17 digits.
+    Digits drop their trailing zeros.  The third pieces are returned exactly
+    when some x is in e-notation; they are "" for every other x.  No double
+    in [1e-6, 1e-4) has 16 zeros after its lead digit, so the digits after
+    the lead are never empty.
 
-    The digits are exact: 10**0..10**22 are doubles, so Dekker's two-product
+    The digits are exact: 10**17..10**22 are doubles, so Dekker's two-product
     gives x * 10**(16 - X) = p + e exactly, p an integer, and the digits are
     p plus e rounded.  No rounding carries to 18 digits: the double below
     each bound lies more than 8 units of its 17th digit under the bound's
@@ -557,11 +533,10 @@ def _float_pieces(values: np.ndarray) -> tuple[list, ...]:
     frac = e - whole
     digits = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     kernel &= frac != 0.5
-    split = np.flatnonzero(kernel & ((slot < _E_SLOTS) | (slot >= _WHOLE_SLOTS)))
-    lead, after = np.divmod(digits[split], _UNITS[slot[split]])
-    zeros = _WIDTHS[slot[split]] - _POWERS.searchsorted(after, side="right")
-    zeros[after == 0] = _NONE
-    digits[split] = after
+    e_notation = np.flatnonzero(kernel & (slot < _E_SLOTS))
+    lead, after = np.divmod(digits[e_notation], 10**16)
+    zeros = 16 - _POWERS.searchsorted(after, side="right")
+    digits[e_notation] = after
     ends_in_zero = np.flatnonzero(digits % 10 == 0)
     stripped = digits[ends_in_zero]
     for step in (10**8, 10**4, 10**2, 10, 10):  # strips up to 16 trailing zeros
@@ -569,25 +544,13 @@ def _float_pieces(values: np.ndarray) -> tuple[list, ...]:
         stripped = np.where(quotient * step == stripped, quotient, stripped)
     digits[ends_in_zero] = stripped
     heads, tails = _HEADS[slot], digits.astype(object)
-    tails[split[zeros == _NONE]] = ""
-    e_notation = slot[split] < _E_SLOTS
-    heads[split[e_notation]] = _PREFIXES[lead[e_notation], zeros[e_notation]]
-    whole_part = split[~e_notation]
-    heads[whole_part] = lead[~e_notation].astype(object)
+    heads[e_notation] = _PREFIXES[lead, zeros]
     rest = np.flatnonzero(~kernel)
     heads[rest] = np.array(_texts(values[rest]), dtype=object)
     tails[rest] = ""
     pieces = [heads, tails]
-    third = np.concatenate([split[e_notation], whole_part[zeros[~e_notation] != _NONE]])
-    if len(third):
-        ends = _SUFFIXES[slot]
-        ends[rest] = ""
-        ends[whole_part] = tails[whole_part]
-    tails[whole_part] = _POINTS[zeros[~e_notation]]
-    if len(third) >= max(_THIRD_PIECE_SHARE * len(values), 1):
-        pieces.append(ends)
-    elif len(third):
-        tails[third] = list(map("%s%s".__mod__, zip(tails[third], ends[third])))
+    if len(e_notation):
+        pieces.append(_SUFFIXES[np.where(kernel, slot, 0)])
     return tuple(piece.tolist() for piece in pieces)
 
 
@@ -911,6 +874,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.out:
         config = replace(config, out=args.out)
+    # The script goes to the CSV's path with ``.gp``: refuse a CSV that it would overwrite.
+    one_csv = config.scenario == "sweep" or (config.scenario == "run" and len(config.g_list) == 1)
+    if args.gnuplot and one_csv and Path(config.out or "").suffix == ".gp":
+        print(f"error: --gnuplot would write its script over the CSV {config.out}", file=sys.stderr)
+        return 2
 
     try:
         return COMMANDS[config.scenario](config, args.gnuplot)

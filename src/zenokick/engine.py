@@ -188,9 +188,12 @@ def sweep(
     grid size and keeps small n from doubling as often as the largest.
 
     Read the loss ``1 - P10`` as ``p01 + pvac``: neither term comes from a
-    subtraction, so the sum keeps full relative precision however small the
-    loss is, while ``1 - p10`` keeps only its absolute precision and reads 0
-    once the loss drops below about 1e-16.
+    subtraction, so the sum keeps its relative precision where ``1 - p10``
+    keeps only its absolute precision and reads 0 once the loss drops below
+    about 1e-16.  Near the mirror the sum loses digits too: against an
+    80-digit matrix power at interval = 1e-3 and n = 2**62 + 1, its relative
+    error is within 5e-15 for g <= 2.5, but 2e-14 at pi - g = 0.1, 1e-10 at
+    1e-3 and 2e-7 at 1e-5 (resonant).
     """
     g_values = tuple(_real(g) for g in g_values)
     n_values = tuple(_count(n, "kick counts") for n in n_values)

@@ -314,11 +314,12 @@ def _named_edges():
     yield "1e-05", 1e-05, True  # no double in [1e-6, 1e-4) prints as a bare digit
     yield "3e-06", 3e-06, True
     yield "one-minus-half-ulp", 1 - 2**-53, True
-    yield "one", 1.0, True
-    yield "twelve-and-a-half", 12.5, True
-    yield "2**53", 2.0**53, True
-    yield "1e16", 1e16, True
-    yield "1e17-ulp", math.nextafter(1e17, 0), True
+    # From 1 on every value falls back.
+    yield "one", 1.0, False
+    yield "twelve-and-a-half", 12.5, False
+    yield "2**53", 2.0**53, False
+    yield "1e16", 1e16, False
+    yield "1e17-ulp", math.nextafter(1e17, 0), False
     yield "1e17", 1e17, False
     yield "tie-211*2**-21", 211 * 2**-21, False  # x * 10**20 ends in exactly .5
     for decade in (-6, -5, *range(16)):  # every decade with a fraction below the 17th digit
@@ -338,17 +339,30 @@ class TestFloatPieces:
         assert any(isinstance(piece[0], int) for piece in pieces) == fast
 
     def test_a_third_piece_only_where_a_value_needs_one(self):
-        # An integral x is its integer part and ""; an e-notation x or a
-        # fraction after an integer part needs the third piece.
-        assert cli._float_pieces(np.array([0.5, 1.0, 0.0])) == (["0.", 1, "0"], [5, "", ""])
-        assert cli._float_pieces(np.array([12.5, 1.0])) == ([12, 1], [".", ""], [5, ""])
+        # Values from 1 on fall back whole; only an e-notation x needs the
+        # third piece, and one such x among many is enough.
+        assert cli._float_pieces(np.array([0.5, 1.0, 0.0])) == (["0.", "1", "0"], [5, "", ""])
+        assert cli._float_pieces(np.array([12.5, 1.0])) == (["12.5", "1"], ["", ""])
         assert cli._float_pieces(np.array([1.0000000000000001e-05, 0.5])) == (
             ["1.000000000000000", "0."], [1, 5], ["e-05", ""]
         )
-        # Below one value in eight, a third piece joins the second as text.
-        assert cli._float_pieces(np.array([12.5] + [0.5] * 8)) == (
-            [12, *["0."] * 8], [".5", *[5] * 8]
+        # A tie in an e-notation decade falls back, and its third piece is empty.
+        tie = _tie(-6)
+        assert cli._float_pieces(np.array([3e-6, tie] + [0.5] * 7)) == (
+            ["3.000000000000000", "%.17g" % tie, *["0."] * 7],
+            [1, "", *[5] * 7],
+            ["e-06", "", *[""] * 7],
         )
+
+    @pytest.mark.parametrize("exponent", (-6, -5))
+    def test_no_e_notation_value_prints_as_a_bare_lead_digit(self, exponent):
+        # The kernel's e-notation heads are "L." and zeros: it relies on no
+        # double near L * 10**X printing as the bare "Le-0X" under %.17g.
+        for lead in range(1, 10):
+            nearest = float(f"{lead}e{exponent}")
+            for x in (math.nextafter(nearest, 0), nearest, math.nextafter(nearest, 1)):
+                assert "%.17g" % x != f"{lead}e{exponent:03d}"
+                assert piece_texts([x]) == ["%.17g" % x]
 
     def test_seeded_near_ties_match_percent_17g(self):
         # Dyadics j * 2**-22 hold exact ties of the 17th digit; decimals of
@@ -365,8 +379,8 @@ class TestFloatPieces:
         assert piece_texts(values) == ["%.17g" % x for x in values.tolist()]
 
     def test_each_decade_bound_is_the_first_double_at_its_power_of_ten(self):
-        assert len(cli._DECADES) == 24
-        for bound, k in zip(cli._DECADES.tolist(), range(-6, 18)):
+        assert len(cli._DECADES) == 7
+        for bound, k in zip(cli._DECADES.tolist(), range(-6, 1)):
             for x, at_least in ((bound, True), (math.nextafter(bound, 0.0), False)):
                 num, den = x.as_integer_ratio()
                 # x >= 10**k, in integers
@@ -467,10 +481,11 @@ class TestCsvFormat:
         monkeypatch.setattr(cli, "_float_pieces", counted)
         for rows in (cli._CSV_PIECES_ROWS - 1, cli._CSV_PIECES_ROWS):
             inside = np.linspace(0.1, 0.9, rows)
-            columns = (inside, inside * 1e-7)  # in the kernel's range, and below it
-            want = self.fstring_csv("a,b", columns)
+            # In the kernel's range, below it, and in [1, 10) like a T = 10 run's times.
+            columns = (inside, inside * 1e-7, inside * 10)
+            want = self.fstring_csv("a,b,c", columns)
             calls.clear()
-            assert cli._csv("a,b", [("%.17g", column) for column in columns]) == want
+            assert cli._csv("a,b,c", [("%.17g", column) for column in columns]) == want
             assert calls == ([rows] if rows >= cli._CSV_PIECES_ROWS else [])
 
     def test_each_block_takes_a_third_piece_only_where_it_needs_one(self, monkeypatch):
@@ -485,14 +500,15 @@ class TestCsvFormat:
         monkeypatch.setattr(cli, "_float_pieces", counted)
         self.pieces(monkeypatch, 0, 0.0)
         monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
-        # Blocks of 4 rows: probabilities and integral values print in two
-        # pieces; e-notation and a fraction after an integer part need three.
+        # Blocks of 4 rows: only a block that holds an e-notation value
+        # (3e-5, 5e-6) prints in three pieces; values from 1 on fall back in
+        # the first piece.
         a = [0.5, 0.25, 1.0, 0.0, 3e-5, 0.5, 0.5, 0.5, 12.5, 1.0, 2.0, 0.5, 1.0, 2.0, 1e16, -0.0]
         b = [0.1] * 4 + [0.2] * 4 + [5e-6, 0.3, 0.3, 0.3] + [7.0] * 4
         columns = (np.array(a), np.array(b))
         want = self.fstring_csv("a,b", columns)
         assert cli._csv("a,b", [("%.17g", column) for column in columns]) == want
-        assert counts == [2, 2, 3, 2, 3, 3, 2, 2]
+        assert counts == [2, 2, 3, 2, 2, 3, 2, 2]
 
     def test_the_pvac_norm_field_tells_pairs_apart_by_their_bits(self, monkeypatch):
         # Pairs that differ in one bit of one value: -0.0 against 0.0, and
@@ -866,6 +882,26 @@ class TestMainPlumbing:
         assert out.exists()
         script = out.with_suffix(".gp").read_text()
         assert "plot" in script and "table.csv" in script
+
+    @pytest.mark.parametrize(
+        "body, flags",
+        [
+            ("scenario = sweep\nT = 1\ng_list = pi/2\nN_list = 1..3\nout = {out}\n", []),
+            ("scenario = run\nT = 1\nt_kicks = 0.5\nresolution = 10\n", ["--out", "{out}"]),
+        ],
+        ids=["out-key-sweep", "out-flag-run"],
+    )
+    def test_gnuplot_refuses_a_csv_path_ending_in_gp(self, body, flags, tmp_path, capsys):
+        # The script's path is the CSV's with ``.gp``: it would overwrite the CSV.
+        out = tmp_path / "fig.gp"
+        path = tmp_path / "fig.txt"
+        path.write_text(body.format(out=out))
+        argv = [str(path), *(flag.format(out=out) for flag in flags), "--gnuplot"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"would write its script over the CSV {out}" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["fig.txt"]
 
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
     def test_preset_with_gnuplot(self, name, tmp_path, monkeypatch, capsys):
